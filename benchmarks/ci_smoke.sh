@@ -258,17 +258,16 @@ print(f"ci_smoke: deadline-tripped anytime solve checkpointed "
 EOF
 
 # --- kernel-backend gate (see docs/ARCHITECTURE.md, KERNELS registry) ---
-# 1. backend agreement: every registered KERNELS backend (numba included
-#    — degraded to scalar when the compiled extra is absent) must reach
-#    the reference cascade's bit-identical fixpoint on the smoke suite
-#    and agree on whole-search optima and node counts.
+# 1. backend agreement: every available KERNELS backend (native included
+#    whenever the C kernels build on this machine) must reach the
+#    reference cascade's bit-identical fixpoint on the smoke suite and
+#    agree on whole-search optima and node counts.
 # 2. calibration artifact: a fresh quick calibration must satisfy the
 #    documented CALIBRATION v2 schema (validate_calibration), and the
 #    loader must refuse schema-v1 artifacts loudly.
 python - <<'EOF'
 import json
 import tempfile
-import warnings
 
 from repro.analysis.microbench import (
     calibrate_kernels,
@@ -276,7 +275,7 @@ from repro.analysis.microbench import (
     validate_calibration,
 )
 from repro.core.formulation import BestBound, MVCFormulation
-from repro.core.kernel_backends import KERNELS, make_kernels, numba_available
+from repro.core.kernel_backends import KERNELS, make_kernels, native_available
 from repro.core.reductions import apply_reductions_reference
 from repro.core.sequential import branch_and_reduce
 from repro.core.stats import ReductionCounters
@@ -303,9 +302,8 @@ def fixpoint(graph, run):
             counters.high_degree, counters.sweeps)
 
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)  # degraded-numba notice
-    backends = {name: make_kernels(name) for name in KERNELS}
+backends = {name: make_kernels(name) for name in KERNELS
+            if name != "native" or native_available()}
 checked = 0
 for name, graph in instances:
     ref = fixpoint(graph, lambda g, s, f, w, c:
@@ -322,10 +320,11 @@ for name, graph in instances:
         assert best.size == expected_best.size, (name, bname, best.size)
         assert stats.nodes_visited == expected.nodes_visited, (name, bname)
         checked += 1
-numba_note = "compiled" if numba_available() else "degraded->scalar"
+native_note = ("compiled, checked" if "native" in backends
+               else "unavailable (no working C compiler), not checked")
 print(f"ci_smoke: kernel-backend agreement OK ({checked} backend runs, "
-      f"{len(instances)} instances, {len(KERNELS)} backends, "
-      f"numba {numba_note})")
+      f"{len(instances)} instances, {len(backends)} backends)")
+print(f"ci_smoke: native kernels {native_note}")
 
 payload = calibrate_kernels(repeats=1, n_ladder=(24, 48), m_ladder=(96,),
                             apply=False, quick=True)

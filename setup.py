@@ -1,13 +1,13 @@
 """Legacy shim so `pip install -e .` works without the `wheel` package.
 
-The one piece of real metadata here is the ``compiled`` extra: the
-KERNELS registry's ``numba`` backend JIT-compiles the reduction cascade
-when numba is importable and degrades (with a RuntimeWarning) to the
-pure-python scalar cascade when it is not.  ``pip install 'repro[compiled]'``
-opts in; the base install stays numpy-only.
+The install is numpy-only.  The KERNELS registry's ``native`` backend
+ships as C source (``repro/core/native/vc_kernels.c``, listed as package
+data here) and is compiled on first use with the local C compiler, then
+cached in ``$XDG_CACHE_HOME/repro``; without a compiler the backend is
+unavailable and ``auto`` keeps the interpreted kernels.
 """
 from setuptools import setup
 
 setup(
-    extras_require={"compiled": ["numba"]},
+    package_data={"repro.core.native": ["*.c"]},
 )

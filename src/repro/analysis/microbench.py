@@ -437,21 +437,19 @@ def calibrate_branch_batch_cutoff(
 #: (``vectorized_s`` predates the registry; kept for render/diff
 #: stability).
 _BACKEND_SAMPLE_KEYS = {"scalar": "scalar_s", "numpy": "vectorized_s",
-                        "numba": "numba_s"}
+                        "native": "native_s"}
 
 
 def _measurable_backends() -> List[str]:
     """Registry backends worth timing on this host.
 
-    ``numba`` joins only when the compiled extra actually imports — a
-    degraded (fallback) NumbaBackend would just re-measure ``scalar``
-    and could win its band, silently double-booking the scalar cascade.
+    ``native`` joins only when the compiled kernels built and loaded here.
     """
-    from ..core.kernel_backends import numba_available
+    from ..core.kernel_backends import native_available
 
     names = ["scalar", "numpy"]
-    if numba_available():
-        names.append("numba")
+    if native_available():
+        names.append("native")
     return names
 
 
@@ -771,8 +769,8 @@ def render_calibration(payload: Dict[str, object]) -> str:
             tag = f"n={s['n']} m={s['m']}"
             winner = s.get("winner") or ("scalar" if sc <= ve else "vectorized")
             extra = ""
-            if "numba_s" in s:
-                extra = f" (numba {float(s['numba_s']) * 1e6:.1f}us)"
+            if "native_s" in s:
+                extra = f" (native {float(s['native_s']) * 1e6:.1f}us)"
             lines.append(f"{tag:>18s} {sc:10.1f}us {ve:10.1f}us  "
                          f"{winner}{extra}")
     for s in samples.get("branch_live_ladder", ()):  # type: ignore[union-attr]

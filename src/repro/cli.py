@@ -656,12 +656,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             validate_calibration,
             write_artifact,
         )
-        from .core.kernel_backends import KERNELS
+        from .core.kernel_backends import make_kernels
 
-        if args.kernels is not None and args.kernels not in KERNELS:
-            print(f"error: unknown kernels {args.kernels!r}; choose from: "
-                  f"{', '.join(sorted(KERNELS))}")
-            return 2
+        if args.kernels is not None:
+            try:
+                make_kernels(args.kernels)
+            except ValueError as exc:
+                print(f"error: {exc}")
+                return 2
         out = args.out
         if out is None:
             out = "benchmarks/CALIBRATION.json" if args.action == "calibrate" else "BENCH_micro.json"
@@ -750,7 +752,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from . import faults
         from .core.bounds import BOUNDS
         from .core.frontier import FRONTIERS
-        from .core.kernel_backends import KERNELS
+        from .core.kernel_backends import make_kernels
         from .core.solver import ENGINES, solve_mvc, solve_pvc
 
         engine = args.engine or ("hybrid" if args.resume_from is None else None)
@@ -772,10 +774,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: unknown bound {args.bound!r}; choose from: "
                   f"{', '.join(sorted(BOUNDS))}")
             return 2
-        if args.kernels is not None and args.kernels not in KERNELS:
-            print(f"error: unknown kernels {args.kernels!r}; choose from: "
-                  f"{', '.join(sorted(KERNELS))}")
-            return 2
+        if args.kernels is not None:
+            try:
+                make_kernels(args.kernels)
+            except ValueError as exc:
+                print(f"error: {exc}")
+                return 2
         parallel_engines = ("cpu-threads", "cpu-process", "cpu-worksteal",
                             "distributed")
         if args.workers is not None and engine not in parallel_engines:

@@ -12,10 +12,13 @@ orthogonal registries (ENGINES × FRONTIERS × BOUNDS):
 * ``numpy``  — the vectorized dirty-worklist kernels, unconditionally;
 * ``scalar`` — the pure-Python cascade, promoted from a cutoff-gated
   special case to a first-class backend (always scalar, any size);
-* ``numba``  — a compiled scalar cascade (optional dependency: the
-  ``compiled`` extra).  Without numba it degrades *loudly* — one
-  structured :class:`RuntimeWarning` — to the ``scalar`` cascade;
-* ``auto``   — per-size-band dispatch.  Uncalibrated it reproduces the
+* ``native`` — the scalar cascade and branch step compiled to C
+  (:mod:`repro.core.native`: built once per machine with the local C
+  compiler, cached, loaded through :mod:`ctypes`).  Registered always,
+  *available* only when the build loads; without it, selecting
+  ``native`` raises the registry's one-line error;
+* ``auto``   — per-size-band dispatch.  Uncalibrated it picks ``native``
+  whenever the compiled kernels load, and otherwise reproduces the
   legacy cutoff behaviour exactly (reading the live
   ``kernels.SCALAR_KERNEL_MAX_N/M`` globals, so ``set_scalar_cutoffs``
   and tests monkeypatching the globals keep working); calibrated
@@ -48,7 +51,6 @@ Adding a backend (mirroring the frontier/bound how-tos):
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,13 +60,14 @@ from ..graph.degree_array import VCState, Workspace
 from .formulation import Formulation
 from .stats import ChargeFn, ReductionCounters, null_charge
 from . import kernels as _kernels
+from . import native as _native
 from .kernels import _apply_reductions_scalar, _apply_reductions_vectorized
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "ScalarBackend",
-    "NumbaBackend",
+    "NativeBackend",
     "AutoBackend",
     "KERNELS",
     "DEFAULT_KERNELS",
@@ -72,7 +75,7 @@ __all__ = [
     "resolve_kernels",
     "get_default_kernels",
     "set_default_kernels",
-    "numba_available",
+    "native_available",
 ]
 
 
@@ -163,6 +166,15 @@ class KernelBackend:
         """
         return self.name
 
+    def for_graph(self, n: int, m: int) -> "KernelBackend":
+        """The backend to bind for a whole traversal of a size-(n, m) graph.
+
+        The backend itself for concrete backends and wrappers; ``auto``
+        returns its band pick, so a traversal resolves the dispatch once
+        instead of once per call.
+        """
+        return self
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelBackend {self.name}>"
 
@@ -218,268 +230,60 @@ class ScalarBackend(KernelBackend):
 
 
 # --------------------------------------------------------------------- #
-# numba: compiled scalar cascade (optional dependency)
+# native: compiled C cascade and branch step (gcc + ctypes)
 # --------------------------------------------------------------------- #
 
-def _import_numba():
-    """Import probe, split out so tests can simulate a missing install."""
-    try:
-        import numba  # type: ignore
-    except Exception:
-        return None
-    return numba
+def native_available() -> bool:
+    """True when the compiled kernels built (or were cached) and loaded."""
+    return _native.load() is not None
 
 
-def numba_available() -> bool:
-    """True when the ``compiled`` extra's numba import succeeds."""
-    return _import_numba() is not None
+class NativeBackend(KernelBackend):
+    """The scalar cascade and branch step compiled to C (``core/native``).
 
-
-#: Compiled kernel namespace, built once per process on first use.
-_NUMBA_IMPL: Optional[dict] = None
-
-
-def _build_numba_impl(numba) -> dict:  # pragma: no cover - needs numba
-    """Compile the scalar cascade's three exhausts over raw CSR arrays.
-
-    Mirrors the pure-Python exhausts in :mod:`repro.core.kernels` loop
-    for loop — ascending-sorted per-sweep drains with per-candidate
-    revalidation, binary-search triangle test, snapshot-first high-degree
-    sweeps — so the fixpoint, counters and sweep counts stay
-    bit-identical.  The budget callback cannot cross into nopython code
-    (formulation budgets may read shared ``mp.Value`` state), so the
-    high-degree rule compiles one *sweep* and the Python driver
-    re-evaluates the budget between sweeps, exactly like
-    ``scalar_high_degree_exhaust``.
-    """
-    njit = numba.njit
-    REMOVED = np.int64(_kernels.REMOVED)
-
-    @njit(cache=True)
-    def nb_remove(indptr, indices, deg, u, p1, p2, counts):
-        deg[u] = REMOVED
-        deleted = 0
-        for i in range(indptr[u], indptr[u + 1]):
-            x = indices[i]
-            dx = deg[x]
-            if dx >= 0:
-                deleted += 1
-                dx -= 1
-                deg[x] = dx
-                if dx == 1:
-                    p1[counts[0]] = x
-                    counts[0] += 1
-                elif dx == 2:
-                    p2[counts[1]] = x
-                    counts[1] += 1
-        return deleted
-
-    @njit(cache=True)
-    def nb_degree_one_exhaust(indptr, indices, deg, p1, p2, counts):
-        fires = 0
-        deleted = 0
-        while counts[0] > 0:
-            m = counts[0]
-            cand = np.sort(p1[:m].copy())
-            counts[0] = 0
-            for j in range(m):
-                v = cand[j]
-                if deg[v] != 1:
-                    continue
-                u = np.int64(-1)
-                for i in range(indptr[v], indptr[v + 1]):
-                    x = indices[i]
-                    if deg[x] >= 0:
-                        u = x
-                        break
-                deleted += nb_remove(indptr, indices, deg, u, p1, p2, counts)
-                fires += 1
-        return fires, deleted
-
-    @njit(cache=True)
-    def nb_degree_two_exhaust(indptr, indices, deg, p1, p2, counts):
-        fires = 0
-        deleted = 0
-        while counts[1] > 0:
-            m = counts[1]
-            cand = np.sort(p2[:m].copy())
-            counts[1] = 0
-            for j in range(m):
-                v = cand[j]
-                if deg[v] != 2:
-                    continue
-                u = np.int64(-1)
-                w = np.int64(-1)
-                for i in range(indptr[v], indptr[v + 1]):
-                    x = indices[i]
-                    if deg[x] >= 0:
-                        if u < 0:
-                            u = x
-                        else:
-                            w = x
-                            break
-                # triangle test: binary search w in u's (sorted) CSR row
-                lo = indptr[u]
-                hi = indptr[u + 1]
-                found = False
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    xv = indices[mid]
-                    if xv < w:
-                        lo = mid + 1
-                    elif xv > w:
-                        hi = mid
-                    else:
-                        found = True
-                        break
-                if not found:
-                    continue
-                deleted += nb_remove(indptr, indices, deg, u, p1, p2, counts)
-                deleted += nb_remove(indptr, indices, deg, w, p1, p2, counts)
-                fires += 1
-        return fires, deleted
-
-    @njit(cache=True)
-    def nb_high_degree_sweep(indptr, indices, deg, p1, p2, counts, budget, scratch):
-        # Snapshot-first: collect every over-budget vertex before any
-        # removal (a removal may decrement a later target below budget;
-        # the serial rule still removes it).
-        tcount = 0
-        for v in range(deg.size):
-            if deg[v] > budget:
-                scratch[tcount] = v
-                tcount += 1
-        if tcount == 0:
-            mx = deg[0]
-            for v in range(1, deg.size):
-                if deg[v] > mx:
-                    mx = deg[v]
-            return 0, 0, mx
-        deleted = 0
-        for j in range(tcount):
-            deleted += nb_remove(indptr, indices, deg, scratch[j], p1, p2, counts)
-        return tcount, deleted, np.int64(-1)
-
-    return {
-        "degree_one": nb_degree_one_exhaust,
-        "degree_two": nb_degree_two_exhaust,
-        "high_degree_sweep": nb_high_degree_sweep,
-    }
-
-
-class NumbaBackend(KernelBackend):
-    """Compiled scalar cascade; degrades loudly to ``scalar`` sans numba.
-
-    The branch step and the greedy pass delegate to the scalar backend
-    either way — only the cascade (the dominant cost) is compiled.
+    Same loops as the ``scalar`` backend, so the same fixpoint, counters,
+    sweeps and children, bit for bit.  One C call per node phase: the
+    cascade runs to its fixpoint in :c:func:`vc_cascade`, the branch step
+    builds both children in :c:func:`vc_expand`.  Scratch buffers live on
+    the :class:`Workspace` (one per worker).  The greedy pass (once per
+    solve) stays interpreted: scalar below the size cutoff, numpy above.
     """
 
-    name = "numba"
+    name = "native"
 
     def __init__(self) -> None:
-        self._numba = _import_numba()
-        #: True when numba is missing and every call runs the scalar path.
-        self.degraded = self._numba is None
-        if self.degraded:
-            warnings.warn(
-                "kernels backend 'numba' requested but numba is not "
-                "importable; degrading to the pure-python 'scalar' cascade. "
-                "Install the compiled extra (pip install 'repro[compiled]') "
-                "to enable the compiled backend.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        lib = _native.load()
+        if lib is None:
+            raise ValueError(_native_unavailable())
+        self._cascade = lib.vc_cascade
+        self._expand = lib.vc_expand
 
-    def _impl(self):  # pragma: no cover - needs numba
-        global _NUMBA_IMPL
-        if _NUMBA_IMPL is None:
-            _NUMBA_IMPL = _build_numba_impl(self._numba)
-        return _NUMBA_IMPL
+    @staticmethod
+    def _scratch(graph: CSRGraph, ws: Workspace) -> "_native.Scratch":
+        sc = ws.native
+        if sc is None:
+            sc = ws.native = _native.Scratch(ws.n)
+        sc.bind(graph)
+        return sc
 
     def reduce(self, graph, state, formulation, ws, counters, hint):
-        if self.degraded:
-            _apply_reductions_scalar(graph, state, formulation, counters, hint)
-            return
-        self._reduce_compiled(graph, state, formulation, counters, hint)
-
-    def _reduce_compiled(self, graph, state, formulation, counters, hint):  # pragma: no cover - needs numba
-        """Python driver around the compiled exhausts.
-
-        Mirrors ``_apply_reductions_scalar`` — same seeding, same
-        early-exit shortcut, same per-sweep budget re-evaluation — on an
-        int64 working copy of the degree array.
-        """
-        impl = self._impl()
         deg = state.deg
-        n = deg.size
-        deg64 = deg.astype(np.int64)
-        p1 = np.empty(n, dtype=np.int64)
-        p2 = np.empty(n, dtype=np.int64)
-        scratch = np.empty(max(n, 1), dtype=np.int64)
-        counts = np.zeros(2, dtype=np.int64)
-        if hint is None:
-            ones = np.flatnonzero(deg64 == 1)
-            twos = np.flatnonzero(deg64 == 2)
-            p1[: ones.size] = ones
-            counts[0] = ones.size
-            p2[: twos.size] = twos
-            counts[1] = twos.size
-            max_deg = int(deg64.max()) if n else 0
-        else:
-            hint_arr = np.asarray(hint, dtype=np.int64)
-            if hint_arr.size:
-                hd = deg64[hint_arr]
-                ones = hint_arr[hd == 1]
-                twos = hint_arr[hd == 2]
-                p1[: ones.size] = ones
-                counts[0] = ones.size
-                p2[: twos.size] = twos
-                counts[1] = twos.size
-            max_deg = state.max_deg_hint
-            if max_deg < 0:
-                max_deg = int(deg64.max()) if n else 0
-        cover = state.cover_size
-        edges = state.edge_count
-        budget_of = formulation.budget
-        if counts[0] == 0 and counts[1] == 0:
-            budget = budget_of(cover)
-            if budget < 0 or max_deg <= budget:
-                state.max_deg_hint = max_deg
-                if counters is not None:
-                    counters.sweeps += 1
-                return
-        indptr = graph.indptr
-        indices = graph.indices
-        c1 = c2 = ch = sweeps = 0
-        while True:
-            f1, e1 = impl["degree_one"](indptr, indices, deg64, p1, p2, counts)
-            f2, e2 = impl["degree_two"](indptr, indices, deg64, p1, p2, counts)
-            cover += f1 + 2 * f2
-            fh = eh = 0
-            while n:
-                budget = budget_of(cover + fh)
-                if budget < 0 or max_deg <= budget:
-                    break
-                tf, td, mx = impl["high_degree_sweep"](
-                    indptr, indices, deg64, p1, p2, counts, budget, scratch
-                )
-                if tf == 0:
-                    max_deg = int(mx)  # exact again; scan came up empty
-                    break
-                fh += int(tf)
-                eh += int(td)
-            cover += fh
-            edges -= int(e1) + int(e2) + eh
-            c1 += int(f1)
-            c2 += 2 * int(f2)
-            ch += fh
-            sweeps += 1
-            if not (f1 or f2 or fh):
-                break
-        if c1 or c2 or ch:
-            deg[:] = deg64
-            state.cover_size = cover
-            state.edge_count = edges
+        if ws is None or ws.n != deg.size:
+            ws = Workspace(deg.size)
+        sc = ws.native
+        if sc is None or sc.graph is not graph:
+            sc = self._scratch(graph, ws)
+        if hint is not None and type(hint) is not np.ndarray:
+            hint = np.asarray(hint, dtype=np.int64)
+        rc = self._cascade(sc.indptr, sc.indices, deg, sc.n, hint,
+                           state.max_deg_hint,
+                           formulation.budget(state.cover_size),
+                           sc.buf_ptr, sc.out_ptr)
+        if rc:
+            _native.fail(rc)
+        c1, c2, ch, sweeps, deleted, max_deg = sc.out.tolist()
+        state.cover_size += c1 + c2 + ch
+        state.edge_count -= deleted
         state.max_deg_hint = max_deg
         if counters is not None:
             counters.degree_one += c1
@@ -488,18 +292,39 @@ class NumbaBackend(KernelBackend):
             counters.sweeps += sweeps
 
     def expand_children(self, graph, state, vmax, ws):
-        from .branching import _expand_children_scalar
+        sc = ws.native
+        if sc is None or sc.graph is not graph:
+            sc = self._scratch(graph, ws)
+        buf = ws.borrow_deg()
+        rc = self._expand(sc.indptr, sc.indices, state.deg, buf, sc.n, vmax,
+                          sc.def_ptr, sc.cont_ptr, sc.out_ptr)
+        if rc:
+            ws.release_deg(buf)
+            _native.fail(rc)
+        live, deleted, td, tc, _, _ = sc.out.tolist()
+        deferred = VCState(buf, state.cover_size + live,
+                           state.edge_count - deleted,
+                           sc.touched_def[:td].copy(), state.max_deg_hint)
+        state.edge_count -= live
+        state.cover_size += 1
+        state.dirty = sc.touched_cont[:tc].copy()
+        return deferred, state
 
-        return _expand_children_scalar(graph, state, vmax, ws)
+    def _greedy_backend(self, graph: CSRGraph) -> KernelBackend:
+        return make_kernels(
+            "scalar" if _kernels.scalar_path_ok(graph.n, graph.m) else "numpy")
 
     def greedy_cover(self, graph, ws=None):
-        from .greedy import _greedy_cover_scalar
-
-        return _greedy_cover_scalar(graph)
+        return self._greedy_backend(graph).greedy_cover(graph, ws)
 
     def uses_adjacency(self, graph):
-        # The branch step and greedy pass are the scalar ones either way.
-        return True
+        return self._greedy_backend(graph).uses_adjacency(graph)
+
+
+def _native_unavailable() -> str:
+    return ("kernels 'native' is unavailable (the C kernels could not be "
+            "built or loaded); choose from: "
+            + ", ".join(sorted(n for n in KERNELS if n != "native")))
 
 
 class AutoBackend(KernelBackend):
@@ -539,6 +364,7 @@ class AutoBackend(KernelBackend):
                 )
             if name == "auto":
                 raise ValueError("calibration bands cannot nest the 'auto' backend")
+            make_kernels(name)  # an unavailable backend fails here, not mid-solve
         self._bands = tuple(sorted((int(mn), str(b)) for mn, b in bands))
         self._max_m = int(max_m)
         self._default = str(default)
@@ -557,6 +383,8 @@ class AutoBackend(KernelBackend):
     def pick(self, n: int, m: int) -> str:
         """The concrete backend name for a size-(n, m) graph."""
         if self._bands is None:
+            if native_available():
+                return "native"
             if (
                 n <= _kernels.SCALAR_KERNEL_MAX_N
                 and m <= _kernels.SCALAR_KERNEL_MAX_M
@@ -575,6 +403,9 @@ class AutoBackend(KernelBackend):
 
     def resolved_name(self, n: int, m: int) -> str:
         return f"auto:{self.pick(n, m)}"
+
+    def for_graph(self, n: int, m: int) -> KernelBackend:
+        return self._picked(n, m)
 
     def reduce(self, graph, state, formulation, ws, counters, hint):
         self._picked(state.deg.size, graph.m).reduce(
@@ -599,7 +430,7 @@ class AutoBackend(KernelBackend):
 KERNELS: Dict[str, Callable[[], KernelBackend]] = {
     "numpy": NumpyBackend,
     "scalar": ScalarBackend,
-    "numba": NumbaBackend,
+    "native": NativeBackend,
     "auto": AutoBackend,
 }
 
@@ -622,6 +453,8 @@ def make_kernels(name: str) -> KernelBackend:
         raise ValueError(
             f"unknown kernels {name!r}; choose from: {', '.join(sorted(KERNELS))}"
         )
+    if name == "native" and not native_available():
+        raise ValueError(_native_unavailable())
     inst = _INSTANCES.get(name)
     if inst is None:
         inst = _INSTANCES[name] = KERNELS[name]()

@@ -158,10 +158,11 @@ class NodeStep:
         faultable: bool = True,
     ) -> None:
         # The kernel backend (KERNELS registry: name, instance, or None
-        # for the process default) is resolved once per traversal and
-        # bound into both hot-path calls below — reduce and branch share
-        # one dispatch decision per node, not scattered cutoff reads.
-        kernels = resolve_kernels(kernels)
+        # for the process default) is resolved once per traversal — auto's
+        # size-band pick included — and bound into both hot-path calls
+        # below: reduce and branch share one dispatch decision per
+        # traversal, not one per node.
+        kernels = resolve_kernels(kernels).for_graph(graph.n, graph.m)
         if reducer is None:
             reducer = default_reducer(charge, kernels)
         if bound is None or isinstance(bound, str):

@@ -104,7 +104,7 @@ class SimEngineBase:
         kernels: Optional[str] = None,
     ):
         from ..core.bounds import BOUNDS
-        from ..core.kernel_backends import KERNELS
+        from ..core.kernel_backends import make_kernels
 
         self.device = device
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -116,10 +116,8 @@ class SimEngineBase:
         #: default keeps makespans bit-identical to the pre-bound engines,
         #: non-default policies charge `lower_bound` cycles (costmodel.py).
         self.bound = bound
-        if kernels is not None and kernels not in KERNELS:
-            raise ValueError(
-                f"unknown kernels {kernels!r}; choose from: {', '.join(sorted(KERNELS))}"
-            )
+        if kernels is not None:
+            make_kernels(kernels)  # one-line error for unknown/unavailable
         #: kernel-backend name for the launch's *uncharged* host-side work
         #: (the greedy bound pass).  The blocks' charged cascades are the
         #: Section IV-D parallel-semantics rules regardless — backends are

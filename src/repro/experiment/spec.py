@@ -253,11 +253,9 @@ class ExperimentSpec:
                 "the hosts axis applies to engine 'distributed' only, "
                 "which is not in the spec")
         if self.kernels is not None:
-            from ..core.kernel_backends import KERNELS
+            from ..core.kernel_backends import make_kernels
 
-            if self.kernels not in KERNELS:
-                raise _one_line_choice_error("kernels", self.kernels,
-                                             sorted(KERNELS))
+            make_kernels(self.kernels)  # one-line error: unknown/unavailable
         from ..analysis.experiments import INSTANCE_TYPES
 
         for itype in self.instance_types:

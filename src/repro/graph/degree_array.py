@@ -141,8 +141,11 @@ class Workspace:
     (the HPC guides' "be easy on the memory" rule).  Besides the batch
     mask this carries a two-slot pair buffer (the degree-two-triangle
     rules' ``{u, w}`` batches), the lazily created dirty queues of the
-    vectorized kernels, and a bounded pool of recycled degree arrays for
-    the branch step's state copies.
+    vectorized kernels, a bounded pool of recycled degree arrays for
+    the branch step's state copies, and ``native`` — the compiled
+    kernels' scratch buffers and cached pointers
+    (:class:`repro.core.native.Scratch`), set on first use.  One
+    workspace serves one worker, so concurrent workers never share them.
     """
 
     n: int
@@ -155,6 +158,7 @@ class Workspace:
         self._dirty: Optional[Tuple[DirtyQueue, DirtyQueue]] = None
         self._branch_queue: Optional[DirtyQueue] = None
         self._deg_pool: List[np.ndarray] = []
+        self.native: Optional[object] = None
 
     @classmethod
     def for_graph(cls, graph: CSRGraph) -> "Workspace":
@@ -647,4 +651,4 @@ def max_degree_vertex(deg: np.ndarray) -> int:
     an alive vertex whenever one exists — exactly the parallel reduction
     tree the paper performs over the degree array (Section IV-B).
     """
-    return int(np.argmax(deg))
+    return int(deg.argmax())

@@ -397,8 +397,22 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     stream.send(("result", total_nodes, leftovers, recovered, comms_dict, spans))
 
 
-def _local_worker_main(host: str, port: int, salt: int) -> None:
-    """Entry point of the engine's own (forked) socket workers."""
+def _local_worker_main(host: str, port: int, salt: int,
+                       inherited_fds: Sequence[int] = ()) -> None:
+    """Entry point of the engine's own (forked) socket workers.
+
+    ``inherited_fds`` are the coordinator's sockets the fork copied into
+    this process: its listener and any accepted peer connections.  They
+    are closed first.  A worker holding the listener open would keep its
+    own connection alive in the accept queue after the coordinator closed
+    its copy at teardown, and would wait in its hello ``recv`` until the
+    coordinator's join timed out.
+    """
+    for fd in inherited_fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
     try:
         run_worker_client(host, port, salt=salt)
     except (TransportClosed, ConnectionError, EOFError, TimeoutError):
@@ -530,10 +544,15 @@ def _run_distributed(
     ctx = mp.get_context("fork")
     salt_seq = [0]
 
+    peers: Dict[int, _Peer] = {}
+
     def spawn_local() -> "mp.Process":
         salt_seq[0] += 1
+        inherited = [lsock.fileno()] + [
+            peer.stream.sock.fileno() for peer in peers.values()]
         p = ctx.Process(target=_local_worker_main,
-                        args=(listen_host, port, salt_seq[0]), daemon=True)
+                        args=(listen_host, port, salt_seq[0], inherited),
+                        daemon=True)
         p.start()
         return p
 
@@ -541,7 +560,6 @@ def _run_distributed(
     host_procs: List["subprocess.Popen"] = [
         _spawn_host_process(port) for _ in range(hosts)]
 
-    peers: Dict[int, _Peer] = {}
     wid_seq = [0]
     stop_reason = [_STOP_NONE]
     done_sent = [False]

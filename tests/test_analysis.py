@@ -189,8 +189,8 @@ class TestMicrobenchArtifacts:
         # v2: per-band backend winners for the auto dispatcher
         assert payload["bands"] and payload["bands"][-1]["max_n"] == 64
         for band in payload["bands"]:
-            assert band["backend"] in ("scalar", "numpy", "numba")
-        assert payload["default_backend"] in ("scalar", "numpy", "numba")
+            assert band["backend"] in ("scalar", "numpy", "native")
+        assert payload["default_backend"] in ("scalar", "numpy", "native")
         assert set(payload["backends_measured"]) >= {"scalar", "numpy"}
         for sample in payload["samples"]["n_ladder"]:
             assert sample["scalar_s"] > 0 and sample["vectorized_s"] > 0

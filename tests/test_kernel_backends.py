@@ -4,21 +4,26 @@ Admission gate for kernel backends: every registered backend must reach
 the **bit-identical fixpoint** of ``apply_reductions_reference`` — same
 degree array, cover size, edge count and reduction counters — across the
 random / p_hat / structured suites, seeded dirty-hint cascades and
-budget-limited early exits.  Plus: the loud missing-numba degradation,
-the calibrated ``auto`` band dispatch, CALIBRATION v2 artifact hygiene,
+budget-limited early exits.  Plus: the compiled ``native`` backend's
+children, loader and no-compiler fallback, the calibrated ``auto`` band
+dispatch, CALIBRATION v2 artifact hygiene,
 the stale-binding regression (cutoff/backend switches after import must
 steer branching), and the one-line registry errors surfaced by the CLI
 and the experiment spec.
 """
 
 import json
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.core.kernel_backends as kb
 import repro.core.kernels as kernels_mod
+import repro.core.native as native_mod
 from repro.core import branching
 from repro.core.branching import expand_children, max_degree_pivot
 from repro.core.formulation import BestBound, FoundFlag, MVCFormulation, PVCFormulation
@@ -26,9 +31,8 @@ from repro.core.greedy import greedy_cover
 from repro.core.kernel_backends import (
     KERNELS,
     AutoBackend,
-    NumbaBackend,
     make_kernels,
-    numba_available,
+    native_available,
     resolve_kernels,
     set_default_kernels,
 )
@@ -46,17 +50,22 @@ from repro.graph.generators.structured import (
     star_graph,
 )
 
-#: Concrete backends every equivalence test must admit.  ``numba`` is
-#: included deliberately: without the compiled extra it degrades to the
-#: scalar cascade, and the degraded path must satisfy the same contract.
-CONCRETE = ("numpy", "scalar", "numba")
+#: Concrete backends every equivalence test must admit.  ``native`` is
+#: skipped, not dropped, where no C compiler can build it.
+CONCRETE = ("numpy", "scalar", "native")
 
 
 def _backend(name):
-    """Registry instance, with the degraded-numba warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return make_kernels(name)
+    """Registry instance; skips the test where ``native`` cannot load."""
+    if name == "native" and not native_available():
+        pytest.skip("native kernels unavailable (no working C compiler)")
+    return make_kernels(name)
+
+
+@pytest.fixture
+def no_native(monkeypatch):
+    """The machine without a C compiler: the loader returns None."""
+    monkeypatch.setattr(native_mod, "load", lambda: None)
 
 
 def _suite():
@@ -119,7 +128,8 @@ class TestRegistry:
 
     def test_instances_are_cached_singletons(self):
         for name in KERNELS:
-            assert _backend(name) is _backend(name)
+            if name != "native" or native_available():
+                assert _backend(name) is _backend(name)
 
     def test_resolve_accepts_name_instance_and_none(self):
         scalar = _backend("scalar")
@@ -141,7 +151,9 @@ class TestRegistry:
 
     def test_resolved_name_identity_for_concrete(self):
         for name in CONCRETE:
-            assert _backend(name).resolved_name(10, 20) == name
+            if name != "native" or native_available():
+                assert _backend(name).resolved_name(10, 20) == name
+                assert _backend(name).for_graph(10, 20) is _backend(name)
 
 
 # --------------------------------------------------------------------- #
@@ -237,41 +249,152 @@ class TestEquivalenceMatrix:
 
 
 # --------------------------------------------------------------------- #
-# numba: degraded loudly without the compiled extra
+# native: compiled C kernels, loader and no-compiler fallback
 # --------------------------------------------------------------------- #
-class TestNumbaBackend:
-    def test_missing_numba_degrades_with_runtime_warning(self, monkeypatch):
-        monkeypatch.setattr(kb, "_import_numba", lambda: None)
-        with pytest.warns(RuntimeWarning, match="degrading to the pure-python"):
-            backend = NumbaBackend()
-        assert backend.degraded
-        g = gnp(40, 0.1, seed=1)
-        ref = _cascade_tuple(g, _reference)
-        assert _cascade_tuple(g, _via(backend)) == ref
+class TestNativeBackend:
+    def test_no_compiler_falls_back(self, no_native, capsys):
+        """Without the compiled kernels ``auto`` resolves exactly as the
+        interpreted cutoff rule and an explicit ``native`` is refused with
+        the registry's one-line error."""
+        auto = _backend("auto")
+        assert not native_available()
+        assert auto.pick(10, 10) == "scalar"
+        assert auto.pick(10 ** 5, 10 ** 6) == "numpy"
+        assert auto.for_graph(10, 10) is _backend("scalar")
+        with pytest.raises(ValueError) as exc:
+            make_kernels("native")
+        msg = str(exc.value)
+        assert msg == ("kernels 'native' is unavailable (the C kernels could "
+                       "not be built or loaded); choose from: auto, numpy, scalar")
+        with pytest.raises(ValueError, match="unavailable"):
+            resolve_kernels("native")
+        from repro.cli import main
+
+        rc = main(["solve", "--graph", "p_hat_300_1", "--scale", "tiny",
+                   "--kernels", "native"])
+        assert rc == 2
+        out = capsys.readouterr()
+        line = (out.err or out.out).strip()
+        assert "kernels 'native' is unavailable" in line and "\n" not in line
 
     def test_registry_instance_matches_environment(self):
-        backend = _backend("numba")
-        assert backend.degraded == (not numba_available())
+        auto = _backend("auto")
+        assert auto.pick(10, 10) == ("native" if native_available() else "scalar")
+        backend = _backend("native")
+        assert isinstance(backend, kb.NativeBackend)
+        assert auto.for_graph(10 ** 5, 10 ** 6) is backend
 
-    @pytest.mark.skipif(not numba_available(), reason="compiled extra not installed")
-    def test_compiled_cascade_equivalent(self):  # pragma: no cover - needs numba
-        backend = _backend("numba")
-        assert not backend.degraded
-        for g in _suite():
-            assert _cascade_tuple(g, _via(backend)) == _cascade_tuple(g, _reference)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_expand_children_identical_to_scalar(self, seed):
+        """Both children equal the scalar branch step's: degree bytes,
+        cover size, edge count, and the touched hints as sets."""
+        native = _backend("native")
+        scalar = _backend("scalar")
+        form = MVCFormulation(BestBound(size=10 ** 6))
+        graphs = _suite() + [gnp(120, 0.5, seed=seed), star_graph(60)]
+        for g in graphs:
+            ws_n, ws_s = Workspace.for_graph(g), Workspace.for_graph(g)
+            parent = fresh_state(g)
+            scalar.cascade(g, parent, form, ws_s)
+            if parent.edge_count == 0:
+                continue
+            rng = np.random.default_rng(seed)
+            alive = np.flatnonzero(parent.deg > 0)
+            pivots = {max_degree_pivot(parent), int(rng.choice(alive))}
+            for vmax in sorted(pivots):
+                a_def, a_cont = native.expand_children(g, parent.copy(), vmax, ws_n)
+                b_def, b_cont = scalar.expand_children(g, parent.copy(), vmax, ws_s)
+                for a, b in ((a_def, b_def), (a_cont, b_cont)):
+                    assert a.deg.tobytes() == b.deg.tobytes(), (g.n, vmax)
+                    assert (a.cover_size, a.edge_count, a.max_deg_hint) == \
+                        (b.cover_size, b.edge_count, b.max_deg_hint)
+                    assert set(np.asarray(a.dirty).tolist()) == \
+                        set(np.asarray(b.dirty).tolist())
+                    assert a.dirty.dtype == np.int64
+                    a.validate(g)
+
+    def test_hint_longer_than_n_scans_instead(self):
+        """A duplicate-heavy hint longer than n takes the full-scan path;
+        the fixpoint and counters still equal the scalar cascade's."""
+        native = _backend("native")
+        g = gnp(60, 0.3, seed=2)
+        ws = Workspace.for_graph(g)
+        parent = fresh_state(g)
+        native.cascade(g, parent, MVCFormulation(BestBound(size=g.n + 1)), ws)
+        child, _ = native.expand_children(g, parent.copy(), max_degree_pivot(parent), ws)
+        long_hint = np.tile(np.arange(g.n, dtype=np.int64), 3)
+
+        def run(backend, hint):
+            st = VCState(child.deg.copy(), child.cover_size, child.edge_count,
+                         hint, child.max_deg_hint)
+            return _cascade_tuple(g, _via(backend), best=g.n // 2, state=st)
+
+        want = run(_backend("scalar"), long_hint.tolist())
+        assert run(native, long_hint) == want
+        assert run(native, None) == want
+
+    def test_rejects_foreign_degree_arrays(self):
+        native = _backend("native")
+        g = gnp(30, 0.2, seed=1)
+        form = MVCFormulation(BestBound(size=g.n + 1))
+        bad = VCState(fresh_state(g).deg.astype(np.int64), 0, g.m)
+        with pytest.raises(ValueError, match="int32"):
+            native.cascade(g, bad, form, Workspace.for_graph(g))
+        ok = fresh_state(g)
+        with pytest.raises(ValueError, match="int64"):
+            native.reduce(g, ok, form, Workspace.for_graph(g), None,
+                          np.arange(3, dtype=np.int32))
+
+    def test_cpu_threads_solve_matches_sequential(self):
+        from repro.core.solver import solve_mvc
+
+        _backend("native")
+        g = gnp(70, 0.1, seed=4)
+        seq = solve_mvc(g, kernels="scalar")
+        par = solve_mvc(g, engine="cpu-threads", n_workers=3, kernels="native")
+        assert par.optimum == seq.optimum
+        assert len(par.cover) == par.optimum
+
+    def test_concurrent_compiles_both_load(self, tmp_path):
+        """Two cold processes compiling the same hash at once both load,
+        and the cache ends with one complete build and no temp files."""
+        _backend("native")
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        src = str(Path(kb.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = ("from repro.core import native; "
+                "print(native.load() is not None)")
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        outs = [p.communicate(timeout=120)[0].strip() for p in procs]
+        assert outs == ["True", "True"]
+        cached = sorted(os.listdir(tmp_path / "repro"))
+        assert len(cached) == 1 and cached[0].endswith(".so"), cached
+        assert (tmp_path / "repro").stat().st_mode & 0o777 == 0o700
+
+    def test_build_failures_return_none(self, tmp_path, monkeypatch):
+        shared = tmp_path / "shared"
+        shared.mkdir(mode=0o777)
+        shared.chmod(0o777)  # writable by others: never load from here
+        assert native_mod.build(shared) is None
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))  # no compiler
+        assert native_mod.build(tmp_path / "nocc") is None
+        assert os.listdir(tmp_path / "nocc") == []
 
 
 # --------------------------------------------------------------------- #
 # auto: uncalibrated legacy cutoffs, calibrated band tables
 # --------------------------------------------------------------------- #
 class TestAutoDispatch:
-    def test_uncalibrated_reads_live_globals(self, monkeypatch):
+    def test_uncalibrated_reads_live_globals(self, monkeypatch, no_native):
         auto = _backend("auto")
         assert not auto.calibrated
         assert auto.pick(10, 10) == "scalar"
         monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
         assert auto.pick(10, 10) == "numpy"
         monkeypatch.undo()
+        monkeypatch.setattr(native_mod, "load", lambda: None)  # undone above
         monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_M", 5)
         assert auto.pick(10, 10) == "numpy"
 
@@ -335,7 +458,7 @@ class TestStaleBindingRegression:
         make_kernels("numpy").cascade(g, parent, form, ws)
         expand_children(g, parent.copy(), max_degree_pivot(parent), ws)
 
-    def test_cutoff_switch_after_import_flips_the_path(self, monkeypatch):
+    def test_cutoff_switch_after_import_flips_the_path(self, monkeypatch, no_native):
         """The historical hazard: branching binding a cutoff at import
         time, so set_scalar_cutoffs() after import changed nothing.  The
         dispatcher reads the live globals at call time."""
@@ -352,7 +475,7 @@ class TestStaleBindingRegression:
         finally:
             kernels_mod.set_scalar_cutoffs(*saved)
 
-    def test_backend_switch_after_import_flips_the_path(self, monkeypatch):
+    def test_backend_switch_after_import_flips_the_path(self, monkeypatch, no_native):
         """Installing a calibration (or forcing a backend) after import
         must steer the very next branch step."""
         g = gnp(40, 0.15, seed=5)

@@ -3,8 +3,9 @@
 The contract (relied on by every solver and engine): the fast cascade
 reaches a **bit-identical fixpoint** — same degree array, cover size,
 edge count and reduction counters — as the reference serial rules, on
-both of its internal paths (scalar small-graph and vectorized
-dirty-worklist).
+every path ``auto`` dispatches to (the compiled ``native`` kernels where
+they build, else scalar small-graph) and on the vectorized
+dirty-worklist path the tests force with :func:`force_vectorized`.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels_mod
+import repro.core.native as native_mod
 from repro.core.branching import expand_children
 from repro.core.formulation import BestBound, FoundFlag, MVCFormulation, PVCFormulation
 from repro.core.greedy import _greedy_cover_scalar, greedy_cover
@@ -39,6 +41,13 @@ from repro.graph.generators.structured import (
     star_graph,
 )
 from repro.graph.generators.suites import paper_suite
+
+
+def force_vectorized(monkeypatch):
+    """Steer ``auto`` onto the vectorized path, even below the scalar
+    cutoff and past the compiled kernels it otherwise prefers."""
+    monkeypatch.setattr(native_mod, "load", lambda: None)
+    monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
 
 
 def hint_candidates(state):
@@ -74,7 +83,7 @@ def assert_equivalent(graph, best=None, k=None, monkeypatch=None):
     assert fast == ref, "fast cascade diverged from the reference rules"
     if monkeypatch is not None:
         # force the vectorized path even below the scalar cutoff
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+        force_vectorized(monkeypatch)
         vec = fixpoint(graph, apply_reductions_fast, best=best, k=k)
         monkeypatch.undo()
         assert vec == ref, "vectorized path diverged from the reference rules"
@@ -138,13 +147,13 @@ def test_equivalence_phat(n, tier, seed):
 
 def test_vectorized_path_equivalence_random(monkeypatch):
     """The numpy dirty-worklist path, forced on graphs below the cutoff."""
-    monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+    force_vectorized(monkeypatch)
     for n, p, seed in [(30, 0.1, 1), (80, 0.05, 2), (200, 0.02, 3), (50, 0.4, 4)]:
         g = gnp(n, p, seed=seed)
         fast = fixpoint(g, apply_reductions_fast)
         monkeypatch.undo()
         assert fast == fixpoint(g, apply_reductions_reference)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+        force_vectorized(monkeypatch)
 
 
 def test_apply_reductions_alias_is_fast():
@@ -228,7 +237,7 @@ class TestSeededCascadeEquivalence:
             walk_seeded_vs_rescan(gnp(n, p, seed=seed), best=max(3, n // 3))
 
     def test_random_suite_vectorized_path(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+        force_vectorized(monkeypatch)
         for n, p, seed in self.RANDOM:
             assert walk_seeded_vs_rescan(gnp(n, p, seed=seed), node_cap=40) > 0
 
@@ -236,7 +245,7 @@ class TestSeededCascadeEquivalence:
         for n, tier, seed in [(30, 2, 4), (40, 1, 5), (25, 3, 6)]:
             g = phat_complement(n, tier, seed=seed)
             assert walk_seeded_vs_rescan(g) > 0
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+            force_vectorized(monkeypatch)
             walk_seeded_vs_rescan(g, node_cap=40)
             monkeypatch.undo()
 
@@ -249,7 +258,7 @@ class TestSeededCascadeEquivalence:
         ]
         for g in graphs:
             walk_seeded_vs_rescan(g)
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+            force_vectorized(monkeypatch)
             walk_seeded_vs_rescan(g)
             monkeypatch.undo()
 
@@ -260,14 +269,14 @@ class TestSeededCascadeEquivalence:
     def test_pvc_budgets(self, monkeypatch):
         walk_seeded_vs_rescan(gnp(40, 0.2, seed=11), k=10)
         walk_seeded_vs_rescan(star_graph(7), k=2)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+        force_vectorized(monkeypatch)
         walk_seeded_vs_rescan(gnp(40, 0.2, seed=11), k=10)
 
     def test_depth_limited_early_exit(self, monkeypatch):
         # Stop after very few nodes — mid-branch — on both kernel paths.
         for cap in (1, 3, 7):
             walk_seeded_vs_rescan(phat_complement(30, 2, seed=4), node_cap=cap)
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+            force_vectorized(monkeypatch)
             walk_seeded_vs_rescan(phat_complement(30, 2, seed=4), node_cap=cap)
             monkeypatch.undo()
 
@@ -320,7 +329,7 @@ class TestWorklistHygiene:
     def test_poisoned_queues_cannot_corrupt_a_cascade(self, monkeypatch):
         """Stale pending vertices (as a buggy early exit would leave) are
         flushed by the seed reset, never acted upon."""
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+        force_vectorized(monkeypatch)
         g = gnp(60, 0.08, seed=13)
         ws = Workspace.for_graph(g)
         d1, d2 = ws.dirty_queues()
@@ -334,7 +343,7 @@ class TestWorklistHygiene:
     def test_budget_early_exit_leaves_queues_clean(self, monkeypatch):
         """A cascade cut short by a doomed budget (high-degree rule bails
         with budget < 0) must leave nothing pending for the next node."""
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+        force_vectorized(monkeypatch)
         g = gnp(50, 0.3, seed=3)
         ws = Workspace.for_graph(g)
         a = fixpoint(g, apply_reductions_fast, k=1, ws=ws)
@@ -346,7 +355,7 @@ class TestWorklistHygiene:
         assert b == fixpoint(g, apply_reductions_reference, best=g.n + 1)
 
     def test_full_search_leaves_queues_clean(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+        force_vectorized(monkeypatch)
         g = phat_complement(40, 2, seed=11)
         ws = Workspace.for_graph(g)
         best = BestBound(size=g.n + 1)
@@ -470,7 +479,7 @@ class TestPoolAndScalarPaths:
             vmax = int(np.argmax(state.deg))
             ws = Workspace.for_graph(g)
             d_scalar, c_scalar = expand_children(g, state.copy(), vmax, ws)
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+            force_vectorized(monkeypatch)
             d_vec, c_vec = expand_children(g, state.copy(), vmax, ws)
             monkeypatch.undo()
             for a, b in ((d_scalar, d_vec), (c_scalar, c_vec)):
@@ -485,7 +494,7 @@ class TestPoolAndScalarPaths:
     def test_greedy_scalar_matches_vectorized(self, monkeypatch):
         for g in (phat_complement(40, 2, seed=3), gnp(80, 0.05, seed=4), grid_graph(5, 5)):
             scalar = _greedy_cover_scalar(g)
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+            force_vectorized(monkeypatch)
             vec = greedy_cover(g)
             monkeypatch.undo()
             assert scalar.size == vec.size

@@ -386,6 +386,24 @@ class TestDistributed:
             assert legs < 60
         assert out.complete and out.optimum == want
 
+    def test_teardown_never_waits_on_a_late_worker(self):
+        """A one-edge solve finishes before the second worker is accepted.
+        That worker must see its connection reset at teardown, not hold it
+        open through the listener its fork inherited until the
+        coordinator's one-second join timeout."""
+        import time
+
+        from repro.graph.csr import CSRGraph
+
+        g = CSRGraph.from_edges(2, [(0, 1)])
+        walls = []
+        for _ in range(50):
+            t0 = time.perf_counter()
+            res = solve_mvc_distributed(g, n_workers=2, hosts=0)
+            walls.append(time.perf_counter() - t0)
+            assert res.optimum == 1
+        assert max(walls) < 0.5, sorted(walls)[-5:]
+
     def test_comms_surface_on_outcome_extra(self):
         from repro.core.anytime import solve_anytime
 
