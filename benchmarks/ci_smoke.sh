@@ -18,8 +18,8 @@
 # (2-worker localhost-socket runs and a serve-worker second-process run
 # must match the sequential covers, and a workers x hosts spec must
 # resume with zero recomputed cells), or the fault-tolerance gate fails
-# (injected cpu-process worker kills — and remote serve-worker kills
-# over the socket — must still yield the optimum; a
+# (injected distributed worker kills — local forked workers and remote
+# serve-worker hosts — must still yield the optimum; a
 # deadline-tripped anytime solve must checkpoint and resume to it), or
 # the kernel-backend gate fails (every KERNELS backend must agree bit
 # for bit on the smoke suite, and a freshly calibrated CALIBRATION
@@ -77,14 +77,21 @@ for name, graph in instances:
         assert got == expected, (name, frontier, got, expected)
         checked += 1
     for engine in ENGINES:
-        parallel = engine.startswith("cpu-") or engine == "distributed"
-        kwargs = {"n_workers": 2} if parallel else {}
+        kwargs = {"n_workers": 2} if engine == "distributed" else {}
         got = solve_mvc(graph, engine=engine, **kwargs).optimum
         assert got == expected, (name, engine, got, expected)
         checked += 1
 print(f"ci_smoke: engine x frontier matrix OK "
       f"({checked} solver runs, {len(instances)} instances, "
       f"{len(FRONTIERS)} frontiers, {len(ENGINES)} engines)")
+# a removed engine name fails with the registry's one-line choices error
+try:
+    solve_mvc(gnp(6, 0.5, seed=1), engine="cpu-threads")
+except ValueError as exc:
+    assert "\n" not in str(exc) and "choose from" in str(exc), exc
+else:
+    raise AssertionError("engine='cpu-threads' was accepted")
+print("ci_smoke: removed engine name rejected in one line")
 EOF
 
 # --- bound x engine agreement matrix (+ bipartite tree-shrink guard) ---
@@ -108,8 +115,7 @@ for name, graph in instances:
         assert got == expected, (name, bound, got, expected)
         checked += 1
     for engine in ENGINES:
-        parallel = engine.startswith("cpu-") or engine == "distributed"
-        kwargs = {"n_workers": 2} if parallel else {}
+        kwargs = {"n_workers": 2} if engine == "distributed" else {}
         got = solve_mvc(graph, engine=engine, bound="matching", **kwargs).optimum
         assert got == expected, (name, engine, got, expected)
         checked += 1
@@ -200,8 +206,9 @@ print("ci_smoke: distributed workers x hosts experiment ran and "
 EOF
 
 # --- fault-tolerance gate (see docs/ARCHITECTURE.md, fault tolerance) ---
-# 1. kill cpu-process workers mid-solve: the supervisor must re-enqueue
-#    the dead workers' leased sub-trees and still return the optimum.
+# 1. kill distributed workers mid-solve (local forked workers, then
+#    remote serve-worker hosts): the coordinator must re-enqueue the dead
+#    workers' leased sub-trees and still return the optimum.
 # 2. trip a wall-clock deadline at t=0: the anytime solve must surface a
 #    checkpoint whose resume reaches the clean-run optimum exactly.
 python - <<'EOF'
@@ -210,8 +217,8 @@ import warnings
 from repro import faults
 from repro.core.anytime import resume_from, solve_anytime, solve_to_completion
 from repro.core.sequential import solve_mvc_sequential
-from repro.engines.cpu_process import solve_mvc_processes
 from repro.graph.generators.random_graphs import gnp
+from repro.net.distributed import solve_mvc_distributed
 
 graph = gnp(30, 0.15, seed=7)
 expected = solve_mvc_sequential(graph).optimum
@@ -219,16 +226,15 @@ expected = solve_mvc_sequential(graph).optimum
 with faults.injected("worker_kill:0.5:3", seed=11):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        out = solve_mvc_processes(graph, n_workers=2, threshold=4)
+        out = solve_mvc_distributed(graph, n_workers=2, threshold=4)
 assert out.optimum == expected, (out.optimum, expected)
 assert out.workers_lost > 0, "fault plan fired no kills; gate is vacuous"
-print(f"ci_smoke: cpu-process survived {out.workers_lost} worker kills, "
-      f"cover still optimal ({out.optimum})")
+print(f"ci_smoke: distributed survived {out.workers_lost} local worker "
+      f"kills, cover still optimal ({out.optimum})")
 
-# same chaos over the socket transport: kill a *remote* serve-worker
+# same chaos on cold interpreters: kill a *remote* serve-worker
 # mid-lease — the coordinator must re-enqueue its lease exactly like a
 # dead local worker's and still reach the optimum.
-from repro.net.distributed import solve_mvc_distributed
 
 with faults.injected("worker_kill:0.9:4", seed=2):
     with warnings.catch_warnings():
@@ -239,7 +245,7 @@ assert dist.workers_lost > 0, "no remote worker died; gate is vacuous"
 print(f"ci_smoke: distributed survived {dist.workers_lost} remote "
       f"worker kills, cover still optimal ({dist.optimum})")
 
-tripped = solve_anytime(graph, engine="cpu-process", deadline=0.0,
+tripped = solve_anytime(graph, engine="distributed", deadline=0.0,
                         n_workers=2, threshold=4)
 assert tripped.status in ("feasible", "bound_only"), tripped.status
 assert tripped.checkpoint is not None

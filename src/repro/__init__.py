@@ -6,7 +6,7 @@ Public API highlights
 * :class:`repro.graph.CSRGraph` — immutable CSR graph.
 * :func:`repro.core.solve_mvc` / :func:`repro.core.solve_pvc` — one facade
   over the sequential, simulated-GPU (StackOnly / Hybrid / GlobalOnly) and
-  real CPU-parallel engines.
+  real parallel (``distributed``) engines.
 * :mod:`repro.sim` — the discrete-event virtual GPU (device specs, launch
   configuration, cost model, broker worklist).
 * :mod:`repro.analysis` — the harness regenerating every table and figure

@@ -119,9 +119,9 @@ class ExperimentConfig:
     #: Hybrid (capacity, threshold-fraction) grid (the paper sweeps both).
     hybrid_capacities: Tuple[int, ...] = (1024,)
     hybrid_fractions: Tuple[float, ...] = (0.25,)
-    #: worker-team width for the wall-clock ``cpu-*`` engines.
+    #: worker-team width for the wall-clock ``distributed`` engine.
     cpu_workers: int = 2
-    #: KERNELS backend forced on the wall-clock ``cpu-*`` engines
+    #: KERNELS backend forced on the wall-clock ``distributed`` engine
     #: (``None``: the process default dispatcher; bit-identical results
     #: either way, so this knob is fingerprint-neutral).
     kernels: Optional[str] = None
@@ -463,7 +463,7 @@ def _run_engine_cell(engine_name: str, graph, itype: str, k: Optional[int],
 def _run_cpu_cell(engine_name: str, graph, itype: str, k: Optional[int],
                   cfg: ExperimentConfig, bound: str = "greedy",
                   workers: Optional[int] = None, hosts: int = 0) -> CellResult:
-    """Run one real ``cpu-*`` / ``distributed`` engine in wall-clock mode.
+    """Run the real ``distributed`` engine in wall-clock mode.
 
     These cells have no virtual pricing: ``seconds``/``cycles`` stay
     ``None`` and ``wall_seconds`` is the measurement — the store schema
@@ -491,7 +491,7 @@ def _run_cpu_cell(engine_name: str, graph, itype: str, k: Optional[int],
                   node_budget=cfg.engine_node_guard, bound=bound,
                   **({"kernels": cfg.kernels} if cfg.kernels else {}),
                   **({"cache": cfg.cache} if cfg.cache else {}),
-                  **({"hosts": hosts} if engine_name == "distributed" else {}))
+                  hosts=hosts)
     try:
         if itype == "mvc":
             out = solve_mvc(graph, **kwargs)
@@ -543,11 +543,10 @@ def run_cell(
     cells and live cells are produced by the very same code path.
     ``frontier`` applies to the sequential engine only (the parallel
     engines' disciplines are fixed by what they model); ``bound``
-    applies to every engine.  The real ``cpu-*`` and ``distributed``
-    engines run in wall-clock mode (no virtual pricing); ``workers``
-    overrides their team width per cell (``None``: ``cfg.cpu_workers``)
-    and ``hosts`` joins that many extra localhost ``serve-worker``
-    processes — the distributed engine only.
+    applies to every engine.  The real ``distributed`` engine runs in
+    wall-clock mode (no virtual pricing); ``workers`` overrides its team
+    width per cell (``None``: ``cfg.cpu_workers``) and ``hosts`` joins
+    that many extra localhost ``serve-worker`` processes.
     """
     if engine == "sequential":
         return _run_sequential_cell(graph, itype, k, cfg, frontier, bound)
@@ -561,7 +560,7 @@ def run_cell(
             f"the 'hosts' axis applies to engine='distributed' only; "
             f"engine {engine!r} has no socket transport"
         )
-    if engine.startswith("cpu-") or engine == "distributed":
+    if engine == "distributed":
         return _run_cpu_cell(engine, graph, itype, k, cfg, bound,
                              workers=workers, hosts=hosts)
     if workers is not None:

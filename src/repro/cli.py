@@ -15,8 +15,8 @@ suite::
     python -m repro solve --graph user_item --engine hybrid --bound konig
     python -m repro solve --graph p_hat_300_3 --deadline 2 --checkpoint cp.bin
     python -m repro solve --graph p_hat_300_3 --resume-from cp.bin
-    python -m repro solve --graph p_hat_300_3 --engine cpu-process --inject worker_kill:0.1
-    python -m repro solve --graph p_hat_300_3 --engine cpu-process --stats \
+    python -m repro solve --graph p_hat_300_3 --engine distributed --inject worker_kill:0.1
+    python -m repro solve --graph p_hat_300_3 --engine distributed --stats \
         --trace trace.json --metrics-out metrics.json
     python -m repro obs view trace.json          # ASCII Gantt + attribution
     python -m repro obs export --metrics metrics.json   # Prometheus text
@@ -131,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-seed", type=int, default=0,
                    help="deterministic seed for the --inject firing streams")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count for the parallel engines (cpu-threads, "
-                        "cpu-process, cpu-worksteal, distributed)")
+                   help="worker count for the parallel engine (distributed)")
     p.add_argument("--hosts", type=int, default=None,
                    help="distributed engine only: spawn this many extra "
                         "localhost worker processes that join over the socket "
@@ -488,14 +487,19 @@ def _cmd_experiment(args: argparse.Namespace, start: float) -> int:
     if cmd == "resume":
         try:
             run = store.get_run(args.run_id)
-            spec = load_spec(dict(run.manifest["spec"]))
         except KeyError as exc:
             print(f"error: {exc.args[0]}")
             return 2
-        except ValueError:
+        spec_dict = dict(run.manifest["spec"])
+        if spec_dict.get("kind") != "repro-vc-experiment-spec":
             print(f"error: run {args.run_id!r} was not created by 'repro "
                   f"experiment run'; re-run the command that created it "
                   f"(e.g. 'repro table1 --store' runs resume there)")
+            return 2
+        try:
+            spec = load_spec(spec_dict)
+        except ValueError as exc:
+            print(f"error: {exc}")
             return 2
         try:
             outcome = run_experiment(spec, store, n_workers=args.workers,
@@ -519,8 +523,12 @@ def _cmd_experiment(args: argparse.Namespace, start: float) -> int:
             return 2
         print(text)
         if args.verify:
-            verified = verify_run_against_live(store, args.run_id,
-                                               max_cells=args.max_cells)
+            try:
+                verified = verify_run_against_live(store, args.run_id,
+                                                   max_cells=args.max_cells)
+            except ValueError as exc:
+                print(f"error: {exc}")
+                return 2
             print(f"verified: {verified} cells bit-identical to live "
                   f"engine invocation")
         print(f"[{time.perf_counter() - start:.1f}s wall]")
@@ -780,12 +788,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             except ValueError as exc:
                 print(f"error: {exc}")
                 return 2
-        parallel_engines = ("cpu-threads", "cpu-process", "cpu-worksteal",
-                            "distributed")
-        if args.workers is not None and engine not in parallel_engines:
-            print(f"error: --workers applies to the parallel engines "
-                  f"({', '.join(parallel_engines)}); engine {engine!r} is "
-                  f"single-worker")
+        if args.workers is not None and engine != "distributed":
+            print(f"error: --workers applies to --engine distributed only "
+                  f"(engine {engine!r} is single-worker)")
             return 2
         if args.hosts is not None and engine != "distributed":
             print(f"error: --hosts applies to --engine distributed only "

@@ -20,7 +20,6 @@ from .frontier import (
     GlobalWorklistFrontier,
     HybridThresholdFrontier,
     LifoFrontier,
-    StealingDequeFrontier,
     make_frontier,
 )
 from .greedy import GreedyResult, greedy_cover
@@ -62,7 +61,6 @@ __all__ = [
     "LifoFrontier",
     "GlobalWorklistFrontier",
     "HybridThresholdFrontier",
-    "StealingDequeFrontier",
     "BestFirstFrontier",
     "make_frontier",
     "NodeStep",

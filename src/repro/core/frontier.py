@@ -9,26 +9,23 @@ processed next, while :mod:`repro.core.nodestep` owns what happens *at*
 a node.  Every engine composes the two; no engine re-implements either.
 
 Single-owner policies (used directly by the sequential solver and by the
-``repro solve --frontier`` CLI, and embedded per-worker inside the real
-CPU engines):
+``repro solve --frontier`` CLI; every ``distributed`` worker embeds a
+``LifoFrontier`` as its local stack):
 
 * :class:`LifoFrontier` — depth-first local stack, the Fig. 1 baseline;
 * :class:`GlobalWorklistFrontier` — FIFO worklist, the Section IV-A
   breadth-first ablation in sequential form;
 * :class:`HybridThresholdFrontier` — Fig. 4's donation policy: feed a
   (FIFO) shared pool while it is hungry, otherwise go depth-first;
-* :class:`StealingDequeFrontier` — per-lane deques with oldest-first
-  stealing, the classic CPU work-stealing discipline
-  (:mod:`repro.engines.cpu_worksteal` drives its lane API under a lock);
 * :class:`BestFirstFrontier` — **new scenario**: a priority queue ordered
   by the greedy bound ``|S| + ceil(|E'| / Δ')``, expanding the most
   promising subproblem first.
 
 Concurrency note: frontiers are plain data structures with no internal
-locking.  The sequential solver owns one outright; the thread/process
-engines guard theirs with their own condition variables or locks (the
-coordination protocol — waiting, idle consensus, termination — is engine
-logic, not ordering policy, and stays in the engines).  The simulated-GPU
+locking.  Each owner — the sequential solver, one ``distributed``
+worker — holds its own outright; the coordination protocol (leases,
+donation, termination) is engine logic, not ordering policy, and stays
+in :mod:`repro.net.distributed`.  The simulated-GPU
 engines realise the same policies in cycle-charged form: the bounded
 :class:`repro.sim.local_stack.LocalStack` *is* a ``LifoFrontier`` with a
 depth bound, the :class:`repro.sim.broker.BrokerWorklist` plays the
@@ -39,7 +36,6 @@ threshold predicate every hybrid variant consults.
 from __future__ import annotations
 
 import heapq
-import random
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -48,7 +44,6 @@ __all__ = [
     "LifoFrontier",
     "GlobalWorklistFrontier",
     "HybridThresholdFrontier",
-    "StealingDequeFrontier",
     "BestFirstFrontier",
     "greedy_bound_key",
     "hybrid_should_donate",
@@ -61,8 +56,9 @@ def hybrid_should_donate(population: int, threshold: int) -> bool:
     """Fig. 4 lines 23-26: donate to the shared pool while it is hungry.
 
     The one place the hybrid threshold policy is written down.  Consulted
-    by the simulated :class:`~repro.engines.hybrid.HybridEngine`, the real
-    thread/process engines, and :class:`HybridThresholdFrontier`.
+    by the simulated :class:`~repro.engines.hybrid.HybridEngine` and
+    :class:`HybridThresholdFrontier`; the ``distributed`` workers apply
+    the same rule to the coordinator's queue depth.
     """
     return population < threshold
 
@@ -188,70 +184,6 @@ class HybridThresholdFrontier(Frontier):
         return len(self.local) + len(self.pool)
 
 
-class StealingDequeFrontier(Frontier):
-    """Per-lane deques, own-end pops, oldest-first steals.
-
-    The decentralised alternative to the hybrid's central pool: every lane
-    (worker) pushes and pops at its own deque's young end and, when empty,
-    steals the *oldest* entry from a random victim — oldest being closest
-    to the victim's sub-tree root, i.e. the biggest stolen sub-tree (the
-    standard heuristic).  :mod:`repro.engines.cpu_worksteal` drives the
-    lane API (:meth:`push_lane` / :meth:`pop_own` / :meth:`steal`) under
-    its own lock; the single-owner :meth:`push`/:meth:`pop` interface
-    round-robins pushes across lanes, which makes the same schedule
-    explorable sequentially (``repro solve --frontier stealing``).
-    """
-
-    __slots__ = ("lanes", "steals", "_rng", "_push_cursor")
-
-    def __init__(self, n_lanes: int = 4, seed: int = 0) -> None:
-        if n_lanes < 1:
-            raise ValueError("n_lanes must be positive")
-        self.lanes: List[deque] = [deque() for _ in range(n_lanes)]
-        self.steals = 0
-        self._rng = random.Random(seed)
-        self._push_cursor = 0
-
-    # ------------------------------------------------------------------ #
-    # lane API (cpu_worksteal drives these under its shared lock)
-    # ------------------------------------------------------------------ #
-    def push_lane(self, lane: int, item: Any) -> None:
-        self.lanes[lane].append(item)
-
-    def pop_own(self, lane: int) -> Optional[Any]:
-        own = self.lanes[lane]
-        return own.pop() if own else None
-
-    def steal(self, lane: int) -> Optional[Any]:
-        """Steal the oldest entry from a random non-empty victim lane."""
-        victims = [v for v in range(len(self.lanes)) if v != lane]
-        self._rng.shuffle(victims)
-        for victim in victims:
-            if self.lanes[victim]:
-                self.steals += 1
-                return self.lanes[victim].popleft()
-        return None
-
-    # ------------------------------------------------------------------ #
-    # single-owner Frontier API
-    # ------------------------------------------------------------------ #
-    def push(self, item: Any) -> None:
-        self.push_lane(self._push_cursor, item)
-        self._push_cursor = (self._push_cursor + 1) % len(self.lanes)
-
-    def pop(self) -> Optional[Any]:
-        # The single owner is lane 0: it drains its own deque and steals
-        # the rest, so round-robin pushes surface as counted steals — the
-        # sequential emulation of one worker amid idle victims.
-        item = self.pop_own(0)
-        if item is not None:
-            return item
-        return self.steal(0)
-
-    def __len__(self) -> int:
-        return sum(len(lane) for lane in self.lanes)
-
-
 def greedy_bound_key(item: Any) -> int:
     """Priority of a frontier item: ``|S|`` plus a greedy cover lower bound.
 
@@ -312,7 +244,6 @@ FRONTIERS: Dict[str, Callable[[], Frontier]] = {
     "lifo": LifoFrontier,
     "fifo": GlobalWorklistFrontier,
     "hybrid": HybridThresholdFrontier,
-    "stealing": StealingDequeFrontier,
     "best-first": BestFirstFrontier,
 }
 

@@ -16,20 +16,19 @@ and ``auto`` keeps its interpreted cutoff rule.
 
 Each :class:`Workspace` (one per worker) carries its own :class:`Scratch`:
 the cascade's pending lists, the branch step's touched buffers and the
-cached graph pointers.  ``ctypes.CDLL`` releases the interpreter lock
-around every call, so ``cpu-threads`` workers run kernels concurrently
-and must never share scratch.
+cached graph pointers; scratch is never shared between workspaces.
 
 Budget soundness.  The ``native`` backend
 (:class:`repro.core.kernel_backends.NativeBackend`) evaluates
-``formulation.budget`` once per cascade, at entry, and the C cascade uses ``budget0 - fires`` for the rest of the
-fixpoint.  That is exact for every in-process formulation: each budget is
-``constant - cover_size`` (``best - 1 - c``, ``k - c``, ``n - c``) and the
-constant cannot change while one cascade runs.  For the ``cpu-process``
-shared ``mp.Value`` incumbent (and the distributed workers' incumbent,
-updated between nodes) the constant can shrink mid-cascade; ``budget0``
-is then stale-high, which is sound: the incumbent only ever decreases, so
-a larger budget only fires the high-degree rule less, never wrongly.
+``formulation.budget`` once per cascade, at entry, and the C cascade
+uses ``budget0 - fires`` for the rest of the fixpoint.  Each budget is
+``constant - cover_size`` (``best - 1 - c``, ``k - c``, ``n - c``).  In
+process, the constant cannot change while one cascade runs, so
+``budget0`` is exact.  A ``distributed`` worker's ``_RemoteMVC`` keeps a
+local copy of the incumbent that broadcasts and its own leaves lower
+between nodes; it only ever decreases.  So ``budget0`` is never smaller
+than the live budget: at worst it is stale-high, which only fires the
+high-degree rule less, never wrongly.
 """
 
 from __future__ import annotations

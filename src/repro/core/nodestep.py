@@ -4,7 +4,7 @@ The paper's fairness note — "all versions use the same data structure and
 reduction rules" — is enforced structurally here: the body of one search
 tree node (Fig. 1 lines 4-11 / Fig. 4 lines 10-29) lives in exactly one
 place, and every traversal discipline (sequential stack, simulated GPU
-blocks, real thread/process workers) composes it with a frontier policy
+blocks, real ``distributed`` workers) composes it with a frontier policy
 from :mod:`repro.core.frontier`.
 
 One step is ``reduce → prune-check → find-max → leaf-check → branch``:

@@ -11,7 +11,7 @@ The default traversal order matches Fig. 1/Fig. 4: at a branching node
 the ``G - vmax`` child is explored first and the ``G - N(vmax)`` child is
 deferred to the frontier.  Any other registered frontier policy
 (``repro solve --frontier ...``) replays the same node step under a
-different discipline — FIFO, hybrid-threshold, stealing, or best-first —
+different discipline — FIFO, hybrid-threshold or best-first —
 and must reach the same optimum (the engine-equivalence property tests
 enforce this).
 """

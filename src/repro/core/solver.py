@@ -7,10 +7,9 @@
   simulated device;
 * ``"hybrid"`` — the paper's contribution, on the simulated device;
 * ``"globalonly"`` — the Section IV-A pure-worklist ablation;
-* ``"cpu-threads"`` / ``"cpu-process"`` — real shared-memory parallel
-  engines mirroring the hybrid protocol;
-* ``"distributed"`` — the supervised lease protocol over a socket
-  transport: a coordinator plus local and remote worker processes
+* ``"distributed"`` — the one wall-clock parallel engine: the hybrid
+  protocol as a supervised lease protocol over a socket transport, a
+  coordinator plus local and remote worker processes
   (``repro serve-worker`` joins extra hosts into the pool).
 """
 
@@ -26,8 +25,7 @@ from .sequential import SearchOutcome, solve_mvc_sequential, solve_pvc_sequentia
 
 __all__ = ["ENGINES", "solve_mvc", "solve_pvc", "publish_result"]
 
-ENGINES = ("sequential", "stackonly", "hybrid", "globalonly",
-           "cpu-threads", "cpu-process", "cpu-worksteal", "distributed")
+ENGINES = ("sequential", "stackonly", "hybrid", "globalonly", "distributed")
 
 
 def publish_result(engine: str, result: Any,
@@ -135,21 +133,6 @@ def _dispatch_mvc(graph: CSRGraph, *, engine: str = "sequential", **options: Any
     if engine in ("stackonly", "hybrid", "globalonly"):
         eng = _sim_engine(engine)(**_split_engine_opts(options))
         return eng.solve_mvc(graph, **options)
-    if engine == "cpu-threads":
-        from ..engines.cpu_threads import solve_mvc_threads
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_mvc_threads(graph, **options)
-    if engine == "cpu-process":
-        from ..engines.cpu_process import solve_mvc_processes
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_mvc_processes(graph, **options)
-    if engine == "cpu-worksteal":
-        from ..engines.cpu_worksteal import solve_mvc_worksteal
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_mvc_worksteal(graph, **options)
     if engine == "distributed":
         from ..net.distributed import solve_mvc_distributed
 
@@ -187,21 +170,6 @@ def _dispatch_pvc(graph: CSRGraph, k: int, *, engine: str = "sequential",
     if engine in ("stackonly", "hybrid", "globalonly"):
         eng = _sim_engine(engine)(**_split_engine_opts(options))
         return eng.solve_pvc(graph, k, **options)
-    if engine == "cpu-threads":
-        from ..engines.cpu_threads import solve_pvc_threads
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_pvc_threads(graph, k, **options)
-    if engine == "cpu-process":
-        from ..engines.cpu_process import solve_pvc_processes
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_pvc_processes(graph, k, **options)
-    if engine == "cpu-worksteal":
-        from ..engines.cpu_worksteal import solve_pvc_worksteal
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_pvc_worksteal(graph, k, **options)
     if engine == "distributed":
         from ..net.distributed import solve_pvc_distributed
 
@@ -219,7 +187,7 @@ def _reject_frontier_opt(engine: str, options: Dict[str, Any]) -> None:
     """Frontier policies are a sequential-traversal knob.
 
     The parallel engines' disciplines are fixed by what they model
-    (per-block stacks, the broker worklist, stealing deques); silently
+    (per-block stacks, the broker worklist, the lease protocol); silently
     dropping a requested policy would misreport the scenario that ran.
     """
     if options.pop("frontier", None) is not None:
@@ -242,8 +210,8 @@ def _forward_bound_opt(ctor: Dict[str, Any], options: Dict[str, Any]) -> None:
     """Hand ``bound`` and ``kernels`` back to a per-solve engine.
 
     Both sit in :data:`_ENGINE_CTOR_KEYS` because the simulated engines
-    take them at construction; the sequential and ``cpu-*`` engines take
-    them per solve call, so the split puts them back for them.
+    take them at construction; the sequential and ``distributed`` engines
+    take them per solve call, so the split puts them back for them.
     """
     if "bound" in ctor:
         options["bound"] = ctor["bound"]

@@ -1,5 +1,6 @@
-"""Traversal engines: simulated-GPU (StackOnly / Hybrid / GlobalOnly) and
-real CPU-parallel (threads / processes)."""
+"""Simulated-GPU traversal engines: StackOnly / Hybrid / GlobalOnly.
+
+The wall-clock parallel engine lives in :mod:`repro.net.distributed`."""
 
 from .base import EngineResult, SimEngineBase
 from .globalonly import GlobalOnlyEngine

@@ -51,7 +51,9 @@ def _spec_of(run: Run) -> ExperimentSpec:
 
     The store also hosts runs created by ``repro table1|2|3 --store``
     (manifest spec kind ``table1``); those resume through the table
-    commands, not through ``repro experiment``.
+    commands, not through ``repro experiment``.  The spec is parsed, not
+    validated: rendering reads stored cells only, so a run that names an
+    engine removed since it ran still renders.
     """
     spec = dict(run.manifest["spec"])  # type: ignore[arg-type]
     if spec.get("kind") != "repro-vc-experiment-spec":
@@ -325,7 +327,7 @@ def _verifiable_fields(record: Dict[str, object],
                        live: Dict[str, object]) -> Tuple[str, ...]:
     """Which result fields a live re-execution must reproduce exactly.
 
-    Virtually priced cells are fully deterministic.  Wall-clock ``cpu-*``
+    Virtually priced cells are fully deterministic.  Wall-clock
     cells run under real scheduling: node counts, tie-broken covers and
     budget races vary run to run, so only the decision-level facts are
     comparable — the MVC optimum (exhaustive search is schedule-independent
@@ -359,7 +361,8 @@ def verify_run_against_live(
     cells on success.
     """
     run = store.get_run(run_id)
-    spec_dict = _spec_of(run).to_dict()  # clean refusal for non-spec runs
+    # clean refusal for non-spec runs; one-line error for removed engines
+    spec_dict = _spec_of(run).validate().to_dict()
     records = sorted(
         run.completed().values(),
         key=lambda rec: (rec["instance"], rec["engine"], rec["instance_type"],

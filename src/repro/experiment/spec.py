@@ -12,10 +12,15 @@ through a sweep.
 
 Two engine families are selectable: the virtually priced engines
 (:data:`EXPERIMENT_ENGINES` — sequential + the simulated-GPU programs,
-reporting virtual ``seconds``/``cycles``) and the real ``cpu-*`` teams
-(:data:`WALL_CLOCK_ENGINES`), which run in *wall-clock mode*: their
+reporting virtual ``seconds``/``cycles``) and the real parallel engine
+(:data:`WALL_CLOCK_ENGINES`), which runs in *wall-clock mode*: its
 cells store ``wall_seconds`` (and null virtual ``seconds``/``cycles``),
 and live verification compares only their deterministic fields.
+
+:meth:`ExperimentSpec.from_dict` only parses; :meth:`ExperimentSpec.validate`
+checks the registries.  :func:`load_spec` does both, for specs about to
+run.  A stored run's spec is parsed without validation when it is only
+rendered, so runs that name an engine since removed still render.
 
 Identity is content-addressed at two levels:
 
@@ -61,11 +66,10 @@ SPEC_SCHEMA_VERSION = 1
 #: sequential baseline plus the simulated-GPU engines.
 EXPERIMENT_ENGINES: Tuple[str, ...] = ("sequential", "stackonly", "hybrid", "globalonly")
 
-#: The real CPU teams, runnable in wall-clock mode: their cells carry
+#: The real parallel engine, run in wall-clock mode: its cells carry
 #: ``wall_seconds`` only (virtual ``seconds``/``cycles`` stay null) and
-#: they never join the Table I virtual-seconds columns.
-WALL_CLOCK_ENGINES: Tuple[str, ...] = ("cpu-threads", "cpu-process",
-                                       "cpu-worksteal", "distributed")
+#: never join the Table I virtual-seconds columns.
+WALL_CLOCK_ENGINES: Tuple[str, ...] = ("distributed",)
 
 #: Simulated devices selectable from a spec.
 SPEC_DEVICES: Tuple[str, ...] = ("SmallSim", "TinySim")
@@ -153,7 +157,7 @@ class ExperimentSpec:
     stackonly_depths: Tuple[int, ...] = (4,)
     hybrid_capacities: Tuple[int, ...] = (256,)
     hybrid_fractions: Tuple[float, ...] = (0.25,)
-    #: worker-team width for the wall-clock ``cpu-*`` engines.
+    #: worker-team width for the wall-clock engine.
     cpu_workers: int = 2
     #: worker-count *axis* for the wall-clock engines: one cell per value.
     #: Empty means "just ``cpu_workers``" — the pre-axis behaviour, and
@@ -166,8 +170,8 @@ class ExperimentSpec:
     #: calibration moves the scalar/vectorized dispatch, never results, so
     #: it is excluded from cell fingerprints.
     calibration: Optional[str] = None
-    #: optional KERNELS registry name forced on the wall-clock ``cpu-*``
-    #: engines (``None``: the process default dispatcher).  Backends are
+    #: optional KERNELS registry name forced on the wall-clock engine
+    #: (``None``: the process default dispatcher).  Backends are
     #: bit-identical by contract, so — like ``calibration`` — this is
     #: excluded from cell fingerprints.
     kernels: Optional[str] = None
@@ -327,6 +331,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExperimentSpec":
+        """Parse a spec dict; structure only, :meth:`validate` checks names."""
         if not isinstance(data, dict):
             raise ValueError("experiment spec must be a JSON object")
         version = data.get("schema_version", SPEC_SCHEMA_VERSION)
@@ -378,7 +383,7 @@ class ExperimentSpec:
             telemetry=bool(data.get("telemetry", False)),
             cache=(None if data.get("cache") is None else str(data["cache"])),
         )
-        return spec.validate()
+        return spec
 
     # ------------------------------------------------------------------ #
     # grid expansion
@@ -450,14 +455,13 @@ class ExperimentSpec:
 
 def load_spec(source: Union[str, Path, Dict[str, object]]) -> ExperimentSpec:
     """Load and validate a spec from a JSON file path or an in-memory dict."""
-    if isinstance(source, dict):
-        return ExperimentSpec.from_dict(source)
-    text = Path(source).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source}: not valid JSON ({exc})") from None
-    return ExperimentSpec.from_dict(data)
+    if not isinstance(source, dict):
+        text = Path(source).read_text()
+        try:
+            source = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{source}: not valid JSON ({exc})") from None
+    return ExperimentSpec.from_dict(source).validate()
 
 
 # --------------------------------------------------------------------- #

@@ -197,12 +197,11 @@ class CSRGraph:
     def prewarm(self, *, adjacency: bool = False) -> None:
         """Build the lazy query caches up front.
 
-        Thread-spawning engines call this from the launching thread so
-        concurrent workers only ever read the caches instead of racing
-        the lazy initialisers (redundant builds under the GIL, a genuine
-        data race without it).  ``adjacency`` additionally builds the
-        plain-Python adjacency used by the scalar kernels — skip it for
-        large graphs, which never take the scalar path.
+        The ``distributed`` coordinator calls this before it forks its
+        local workers, so every worker inherits the warmed caches instead
+        of rebuilding them once per process.  ``adjacency`` additionally
+        builds the plain-Python adjacency used by the scalar kernels —
+        skip it for large graphs, which never take the scalar path.
         """
         self._sorted_edge_keys()
         if adjacency:

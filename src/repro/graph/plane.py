@@ -1,14 +1,15 @@
 """Zero-copy shared-memory graph plane.
 
 The paper keeps one immutable CSR copy of the input graph that every
-thread block reads (Section IV-B).  The process engines need the same
-thing across OS processes: :class:`GraphPlane` publishes the CSR arrays
-(``indptr``/``indices``) plus the root degree vector once into a POSIX
-shared-memory segment, and workers *attach* by name — mapping the same
-physical pages instead of re-pickling and re-validating the graph per
-spawn.  The root degree vector doubles as the delta base for the v2 wire
-codec (:func:`repro.graph.degree_array.decode_wire`): every worker that
-attaches the plane can decode sparse ``(idx, val)`` frames against it.
+thread block reads (Section IV-B).  The ``distributed`` engine needs the
+same thing across OS processes: :class:`GraphPlane` publishes the CSR
+arrays (``indptr``/``indices``) plus the root degree vector once into a
+POSIX shared-memory segment, and workers *attach* by name — mapping the
+same physical pages instead of re-pickling and re-validating the graph
+per spawn.  The root degree vector doubles as the delta base for the v2
+wire codec (:meth:`repro.graph.degree_array.VCState.from_wire_v2`): every
+worker that attaches the plane can decode sparse ``(idx, val)`` frames
+against it.
 
 Lifecycle
 ---------

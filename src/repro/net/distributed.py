@@ -1,23 +1,30 @@
-"""The eighth engine: the supervised lease protocol over sockets.
+"""The wall-clock parallel engine: the supervised lease protocol over sockets.
 
-A coordinator runs the PR 6 supervision state machine — single work
-ledger, leases charged until ``lease_done``, dead peers re-enqueued —
-over :class:`~repro.net.transport.MessageStream` connections instead of
-``multiprocessing`` queues.  Workers are plain socket clients: the
-engine spawns ``n_workers`` of them as local processes that connect to
-the coordinator's loopback port (so every run, including CI, exercises
-the real socket path), spawns ``hosts`` additional ``repro serve-worker``
-*subprocesses* (cold Python interpreters simulating extra hosts on
-localhost), and accepts any externally launched
-``repro serve-worker --connect HOST:PORT`` into the same pool.
+A coordinator runs the supervision state machine — single work ledger,
+leases charged until ``lease_done``, dead peers re-enqueued, respawn
+with a bounded budget, inline drain as the last resort — over
+:class:`~repro.net.transport.MessageStream` connections.  Workers are
+plain socket clients: the engine forks ``n_workers`` of them as local
+processes that connect to the coordinator's loopback port (so every
+run, including CI, exercises the real socket path), spawns ``hosts``
+additional ``repro serve-worker`` *subprocesses* (cold Python
+interpreters simulating extra hosts on localhost), and accepts any
+externally launched ``repro serve-worker --connect HOST:PORT`` into the
+same pool.
+
+Each worker is the paper's hybrid scheme on a CPU core: it traverses
+its leased sub-trees depth-first on a local LIFO stack and donates
+deferred children back to the coordinator's global worklist while that
+worklist is below the donation threshold.
 
 Workers never receive the graph through process arguments.  The
 handshake offers the shared-memory graph plane (:mod:`repro.graph.plane`)
 by name; a same-host worker attaches it zero-copy, a remote one answers
 ``need_graph`` and receives the CSR arrays inline, once.  After that,
-only codec frames, incumbent sizes and counters cross the wire — the
-incumbent broadcast is the only shared mutable state, exactly as in the
-paper's GPU formulation.
+only wire-codec frames (:meth:`~repro.graph.degree_array.VCState.to_wire_v2`,
+delta-encoded against the plane's root degree vector), incumbent sizes
+and counters cross the wire — the incumbent broadcast is the only shared
+mutable state, exactly as in the paper's GPU formulation.
 
 Protocol (all messages are pickled tuples; see ``net/transport.py``):
 
@@ -35,12 +42,14 @@ worker -> coordinator  coordinator -> worker
 ``("result", nodes, leftovers, recovered, comms)``
 ====================  =============================================
 
-A lease is charged to a connection the moment the ``work`` frame is
-written; a connection that dies — EOF, reset, torn frame — before its
-``lease_done`` gets its batch re-enqueued, exactly like a dead local
-worker, and the slot is respawned with the same bounded-retry policy.
-If every peer is gone with work outstanding, the coordinator drains the
-remainder inline through the sequential solver.
+A lease — up to :data:`LEASE_BATCH` sub-tree payloads — is charged to a
+connection the moment the ``work`` frame is written; a connection that
+dies — EOF, reset, torn frame — before its ``lease_done`` gets its batch
+re-enqueued (the lease roots dominate everything the dead worker had
+expanded locally), and a local slot is respawned while the
+:data:`MAX_RESPAWNS` budget lasts.  If every peer is gone with work
+outstanding, the coordinator drains the remainder inline through the
+sequential solver, so the call still returns the correct answer.
 """
 
 from __future__ import annotations
@@ -51,33 +60,36 @@ import subprocess
 import sys
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import faults
-from ..core.formulation import Formulation
+from ..core.formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
 from ..core.frontier import LifoFrontier
 from ..core.greedy import greedy_cover
 from ..core.kernel_backends import resolve_kernels
 from ..core.nodestep import LEAF, PRUNED, NodeStep
-from ..engines.cpu_process import (
-    LEASE_BATCH,
-    MAX_RESPAWNS,
-    CommStats,
-    _codec_fns,
-    _drain_inline,
-)
-from ..engines.cpu_threads import CpuParallelResult
+from ..core.sequential import branch_and_reduce
 from ..graph.csr import CSRGraph
-from ..graph.degree_array import VCState, Workspace, decode_wire, fresh_state, wire_nbytes
+from ..graph.degree_array import VCState, Workspace, fresh_state
 from ..graph.plane import GraphPlane, publish_plane
 from ..obs import breakdown as obs_breakdown
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .transport import MessageStream, ProtocolError, TransportClosed
 
-__all__ = ["solve_mvc_distributed", "solve_pvc_distributed", "run_worker_client"]
+__all__ = ["CommStats", "CpuParallelResult", "LEASE_BATCH", "MAX_RESPAWNS",
+           "solve_mvc_distributed", "solve_pvc_distributed", "run_worker_client"]
+
+#: Respawn budget: local worker slots the coordinator may respawn per
+#: requested worker before it degrades to fewer workers.
+MAX_RESPAWNS = 2
+
+#: Sub-trees handed out per ``work`` frame (and buffered per ``donate``
+#: flush).  1 recovers the per-node protocol exactly.
+LEASE_BATCH = 8
 
 #: How long the coordinator waits for the first worker to finish its
 #: handshake before concluding nobody is coming and draining inline.
@@ -90,6 +102,122 @@ _WINDDOWN_S = 10.0
 _NODES_FLUSH = 64
 
 _STOP_NONE, _STOP_BUDGET, _STOP_DEADLINE = 0, 1, 2
+
+
+class CommStats:
+    """Per-worker communication counters (messages, bytes, lease traffic).
+
+    Accumulated inside each worker, shipped home with its ``result``
+    frame, and aggregated onto :attr:`CpuParallelResult.comms` — so the
+    GlobalOnly-vs-Hybrid question is answerable in traffic terms, not
+    just node counts.  ``repro solve --stats`` prints the totals, and
+    :func:`repro.obs.metrics.publish_comms` folds them into the metrics
+    registry when the telemetry plane is armed.
+    """
+
+    __slots__ = ("messages", "bytes_sent", "bytes_received", "leases",
+                 "subtrees", "donations", "idle_s")
+
+    FIELDS = ("messages", "bytes_sent", "bytes_received", "leases",
+              "subtrees", "donations", "idle_s")
+
+    def __init__(self) -> None:
+        self.messages = 0
+        self.bytes_sent = 0
+        self.bytes_received = 0
+        self.leases = 0
+        self.subtrees = 0
+        self.donations = 0
+        self.idle_s = 0.0
+
+    def as_dict(self) -> Dict[str, float]:
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    @staticmethod
+    def totals(per_worker: Dict[int, Dict[str, float]]) -> Dict[str, float]:
+        # Sum every reported key, not just FIELDS: the exact socket byte
+        # counts (wire_sent/wire_received) and the telemetry plane's
+        # obs_<kind>_s wall attributions extend the dict, and those
+        # extras must survive aggregation.
+        out: Dict[str, float] = {name: 0 for name in CommStats.FIELDS}
+        for counters in per_worker.values():
+            for name, value in counters.items():
+                out[name] = out.get(name, 0) + value
+        return out
+
+
+@dataclass
+class CpuParallelResult:
+    """Outcome of a CPU-parallel run."""
+
+    engine: str
+    formulation: str
+    optimum: Optional[int]
+    cover: Optional[np.ndarray]
+    feasible: Optional[bool]
+    timed_out: bool
+    nodes_visited: int
+    n_workers: int
+    wall_seconds: float
+    greedy_size: int
+    per_worker_nodes: List[int] = field(default_factory=list)
+    #: tree nodes still pending when an interrupted run wound down —
+    #: worker leftovers plus the drained shared pool (anytime checkpoints).
+    pending_states: List[VCState] = field(default_factory=list)
+    #: the wall-clock ``deadline`` (not the node budget) tripped.
+    deadline_tripped: bool = False
+    #: injected step faults recovered by re-enqueueing the pre-step state.
+    faults_recovered: int = 0
+    #: workers that died mid-run (their in-flight work was preserved).
+    workers_lost: int = 0
+    #: communication counters —
+    #: ``{"per_worker": {wid: {...}}, "totals": {...}}`` (messages, bytes,
+    #: leases, donations, idle time, exact socket bytes).
+    comms: Optional[Dict[str, object]] = None
+    #: fault-supervision outcomes, surfaced instead of buried in
+    #: ``RuntimeWarning``s: ``recovered`` / ``workers_lost`` /
+    #: ``respawns`` / ``retired_slots`` / ``inline_drains`` /
+    #: ``lost_nodes``.
+    supervision: Optional[Dict[str, float]] = None
+
+    @property
+    def stats(self):  # harness parity
+        return self
+
+
+def _drain_inline(
+    graph: CSRGraph,
+    mode: str,
+    k: int,
+    states: List[VCState],
+    initial_best: int,
+    initial_cover: Optional[np.ndarray],
+    bound: str,
+    kernels: Optional[str] = None,
+) -> Tuple[Optional[int], Optional[np.ndarray]]:
+    """Last-resort fallback: every worker is gone — the coordinator finishes.
+
+    Solves the remaining sub-trees sequentially against the best incumbent
+    the coordinator holds; returns the (possibly improved) incumbent.
+    """
+    ws = Workspace.for_graph(graph)
+    formulation: Formulation
+    if mode == "mvc":
+        best = BestBound(size=initial_best, cover=initial_cover)
+        formulation = MVCFormulation(best)
+    else:
+        flag = FoundFlag()
+        formulation = PVCFormulation(k=k, flag=flag)
+    frontier = LifoFrontier()
+    for state in states[1:]:
+        frontier.push((state, 0))
+    branch_and_reduce(graph, formulation, ws=ws, root=states[0],
+                      frontier=frontier, bound=bound, kernels=kernels)
+    if mode == "mvc":
+        return best.size, best.cover
+    if flag.found:
+        return flag.size, flag.cover
+    return None, None
 
 
 # --------------------------------------------------------------------- #
@@ -218,9 +346,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
         formulation = _RemoteMVC(int(params["initial_best"]))
     else:
         formulation = _RemotePVC(int(params["k"]))
-    enc, dec = _codec_fns(str(params["codec"]), root_deg)
     threshold = int(params["threshold"])
-    lease_batch = int(params["lease_batch"])
     deadline_s = params.get("deadline_s")
     deadline_at = None if deadline_s is None else time.monotonic() + float(deadline_s)
     plan = faults.current_plan()
@@ -269,7 +395,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
                 stream.send(("donate", payloads))
             comms.messages += 1
             comms.donations += len(payloads)
-            comms.bytes_sent += sum(wire_nbytes(p) for p in payloads)
+            comms.bytes_sent += sum(len(p) for p in payloads)
             depth_hint += 1
 
     def finish_lease() -> None:
@@ -296,20 +422,28 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
                     return None
                 if delay_active:
                     faults.fire("queue_delay")
+                # Handle every message of the poll, also those after a
+                # ``work`` frame: a ``done`` sent right after the lease
+                # would otherwise be lost, and this worker would wait
+                # here for work forever once the lease is drained.
+                batch = None
                 for msg in stream.poll(wait):
                     if msg[0] == "work":
-                        comms.idle_s += time.monotonic() - idle_from
                         batch, depth_hint = msg[1], msg[2]
-                        has_lease = True
-                        comms.leases += 1
-                        comms.subtrees += len(batch)
-                        comms.bytes_received += sum(wire_nbytes(p) for p in batch)
-                        with obs_trace.span("lease"):
-                            states = [dec(p) for p in batch]
-                        for extra in states[1:]:
-                            local.push(extra)
-                        return states[0]
-                    handle(msg)
+                    else:
+                        handle(msg)
+                if batch is not None:
+                    comms.idle_s += time.monotonic() - idle_from
+                    has_lease = True
+                    comms.leases += 1
+                    comms.subtrees += len(batch)
+                    comms.bytes_received += sum(len(p) for p in batch)
+                    with obs_trace.span("lease"):
+                        states = [VCState.from_wire_v2(p, root_deg)
+                                  for p in batch]
+                    for extra in states[1:]:
+                        local.push(extra)
+                    return states[0]
                 wait = min(wait * 2.0, 0.05)
 
     while True:
@@ -350,18 +484,18 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             if formulation.improved:
                 formulation.improved = False
                 best = formulation.local_best
-                payload = enc(best)
+                payload = best.to_wire_v2(root_deg)
                 stream.send(("best", best.cover_size, payload))
                 comms.messages += 1
-                comms.bytes_sent += wire_nbytes(payload)
+                comms.bytes_sent += len(payload)
             ws.release_deg(current.deg)
             current = None
             continue
         deferred = outcome.deferred
         current = outcome.continued
-        if depth_hint * lease_batch + len(donation_buf) < threshold:
-            donation_buf.append(enc(deferred))
-            if len(donation_buf) >= lease_batch:
+        if depth_hint * LEASE_BATCH + len(donation_buf) < threshold:
+            donation_buf.append(deferred.to_wire_v2(root_deg))
+            if len(donation_buf) >= LEASE_BATCH:
                 flush_donations()
         else:
             local.push(deferred)
@@ -370,16 +504,16 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     leftovers: List[object] = list(donation_buf)
     donation_buf.clear()
     if current is not None:
-        leftovers.append(enc(current))
-    leftovers.extend(enc(state) for state in local.drain())
+        leftovers.append(current.to_wire_v2(root_deg))
+    leftovers.extend(state.to_wire_v2(root_deg) for state in local.drain())
     flush_nodes()
     if has_lease:
         stream.send(("lease_done",))
         comms.messages += 1
     comms.messages += 1
-    comms.bytes_sent += sum(wire_nbytes(p) for p in leftovers)
-    # Exact socket byte counts from the transport, alongside the
-    # wire_nbytes() estimates shared with the queue engines.  wire_received
+    comms.bytes_sent += sum(len(p) for p in leftovers)
+    # Exact socket byte counts from the transport, alongside the payload
+    # byte counts above (frames only, no framing).  wire_received
     # includes the inline graph frame on the need_graph path, which is the
     # cost the shared-memory plane exists to avoid; wire_sent excludes only
     # the final result frame (its size would have to contain itself).
@@ -498,9 +632,6 @@ def _run_distributed(
     kernels: Optional[str] = None,
     deadline: Optional[float] = None,
     roots: Optional[Sequence[VCState]] = None,
-    lease_batch: int = LEASE_BATCH,
-    codec: str = "v2",
-    max_respawns: int = MAX_RESPAWNS,
     listen_host: str = "127.0.0.1",
 ) -> _DistRun:
     import multiprocessing as mp
@@ -508,29 +639,25 @@ def _run_distributed(
 
     if n_workers < 0 or hosts < 0 or n_workers + hosts < 1:
         raise ValueError("need at least one worker (n_workers + hosts >= 1)")
-    if lease_batch < 1:
-        raise ValueError("lease_batch must be >= 1")
     backend = resolve_kernels(kernels)
     kernels_name = backend.name
     graph.prewarm(adjacency=backend.uses_adjacency(graph))
     root_deg = np.asarray(graph.degrees, dtype=np.int32)
-    enc, _ = _codec_fns(codec, root_deg)
-    plane = publish_plane(graph) if codec == "v2" else None
+    plane = publish_plane(graph)
 
     run = _DistRun()
     run.best_size = initial_best if mode == "mvc" else None
     run.best_cover = initial_cover
 
     queue: "deque[List[object]]" = deque()
-    root_payloads = [enc(state)
+    root_payloads = [state.to_wire_v2(root_deg)
                      for state in ([fresh_state(graph)] if roots is None else roots)]
-    for i in range(0, len(root_payloads), lease_batch):
-        queue.append(root_payloads[i:i + lease_batch])
+    for i in range(0, len(root_payloads), LEASE_BATCH):
+        queue.append(root_payloads[i:i + LEASE_BATCH])
 
     init_params = {
         "mode": mode, "k": k, "bound": bound, "kernels": kernels_name,
-        "threshold": threshold, "codec": codec, "lease_batch": lease_batch,
-        "initial_best": initial_best,
+        "threshold": threshold, "initial_best": initial_best,
         "deadline_s": deadline,
     }
 
@@ -594,7 +721,7 @@ def _run_distributed(
     def offer_best(size: int, payload) -> None:
         if run.best_size is None or size < run.best_size:
             run.best_size = size
-            run.best_cover = decode_wire(payload, root_deg).cover()
+            run.best_cover = VCState.from_wire_v2(payload, root_deg).cover()
             if mode == "mvc":
                 broadcast(("best", size, len(queue)))
             else:
@@ -617,7 +744,7 @@ def _run_distributed(
             run.lost += 1
             lost_nodes[0] += peer.nodes_flushed
         if died and not done_sent[0]:
-            if respawns_used[0] < max_respawns * max(1, n_workers):
+            if respawns_used[0] < MAX_RESPAWNS * max(1, n_workers):
                 respawns_used[0] += 1
                 procs.append(spawn_local())
             else:
@@ -808,7 +935,7 @@ def _run_distributed(
         if run.timed_out:
             for _, leftovers, _, _ in results.values():
                 remaining.extend(leftovers)
-            run.pending = [decode_wire(w, root_deg) for w in remaining]
+            run.pending = [VCState.from_wire_v2(w, root_deg) for w in remaining]
         elif remaining and not run.found:
             inline_drains[0] += 1
             warnings.warn(
@@ -816,7 +943,8 @@ def _run_distributed(
                 RuntimeWarning,
             )
             size, cover = _drain_inline(
-                graph, mode, k, [decode_wire(w, root_deg) for w in remaining],
+                graph, mode, k,
+                [VCState.from_wire_v2(w, root_deg) for w in remaining],
                 run.best_size if mode == "mvc" and run.best_size is not None
                 else (initial_best if mode == "mvc" else k),
                 run.best_cover, bound, kernels_name,
@@ -869,9 +997,6 @@ def solve_mvc_distributed(
     deadline: Optional[float] = None,
     roots: Optional[Sequence[VCState]] = None,
     initial_best: Optional[Tuple[int, np.ndarray]] = None,
-    lease_batch: int = LEASE_BATCH,
-    codec: str = "v2",
-    **_: object,
 ) -> CpuParallelResult:
     """Minimum vertex cover with a coordinator + socket-worker pool."""
     greedy = greedy_cover(graph, kernels=kernels)
@@ -886,7 +1011,6 @@ def solve_mvc_distributed(
         graph, "mvc", 0, n_workers=n_workers, hosts=hosts, threshold=threshold,
         node_budget=node_budget, initial_best=best0, initial_cover=cover0,
         bound=bound, kernels=kernels, deadline=deadline, roots=roots,
-        lease_batch=lease_batch, codec=codec,
     )
     return CpuParallelResult(
         engine="distributed",
@@ -921,9 +1045,6 @@ def solve_pvc_distributed(
     kernels: Optional[str] = None,
     deadline: Optional[float] = None,
     roots: Optional[Sequence[VCState]] = None,
-    lease_batch: int = LEASE_BATCH,
-    codec: str = "v2",
-    **_: object,
 ) -> CpuParallelResult:
     """Parameterized vertex cover with a coordinator + socket-worker pool."""
     if k < 0:
@@ -936,7 +1057,6 @@ def solve_pvc_distributed(
         graph, "pvc", k, n_workers=n_workers, hosts=hosts, threshold=threshold,
         node_budget=node_budget, initial_best=graph.n + 1, initial_cover=None,
         bound=bound, kernels=kernels, deadline=deadline, roots=roots,
-        lease_batch=lease_batch, codec=codec,
     )
     feasible: Optional[bool]
     if run.found and run.best_cover is not None:

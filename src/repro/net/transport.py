@@ -1,10 +1,9 @@
 """Length-prefixed socket transport for the distributed engine.
 
 One frame = a 4-byte little-endian unsigned length followed by a pickled
-event tuple — the same ``lease``/``lease_done``/``donate``/``best``/
-``result`` vocabulary the in-process engines speak over
-``multiprocessing`` queues, so the supervision state machine is
-transport-agnostic.  The framing layer is deliberately split in two:
+event tuple — the ``work``/``lease_done``/``donate``/``best``/``result``
+vocabulary of the coordinator's supervision state machine.  The framing
+layer is deliberately split in two:
 
 * :class:`FrameDecoder` is a pure incremental parser (bytes in, messages
   out) with no socket anywhere near it, so torn frames and partial reads
@@ -36,8 +35,8 @@ __all__ = [
     "encode_frame",
 ]
 
-#: Hard cap on one frame's payload: even a dense v1 state on a graph with
-#: tens of millions of vertices fits well under this.
+#: Hard cap on one frame's payload: even a dense state frame on a graph
+#: with tens of millions of vertices fits well under this.
 MAX_FRAME_BYTES = 1 << 30
 
 _LEN = struct.Struct("<I")

@@ -4,16 +4,15 @@ The sim recorder (:mod:`repro.sim.trace`) attributes *virtual cycles* to
 simulated blocks; this module does the same for *wall time* across real
 workers.  A :class:`WallTracer` is armed process-wide (:func:`arm`),
 records :class:`WallSpan` intervals on a shared monotonic epoch, and the
-coordinator merges spans drained home from forked workers (over the
-``cpu_process`` event protocol) and remote workers (over the ``net/``
-socket frames) into one timeline keyed by real ``(pid, tid)`` lanes.
+coordinator merges spans drained home from forked and remote workers
+(over the ``net/`` socket frames) into one timeline keyed by real
+``(pid, tid)`` lanes.
 
 Identity model:
 
 * ``trace_id`` — one hex string per traced solve, minted by the
-  coordinator and propagated verbatim through spawn args and the
-  distributed ``init`` frame, so every participating process tags spans
-  with the same id.
+  coordinator and propagated verbatim through the distributed ``init``
+  frame, so every participating process tags spans with the same id.
 * ``span_id`` — ``"<pid:x>.<seq:x>"``: unique across processes without
   coordination because the pid is baked in.
 * ``parent_id`` — maintained by a per-thread open-span stack, so spans

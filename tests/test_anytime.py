@@ -21,11 +21,10 @@ from repro.core.solver import ENGINES
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph, petersen
 
-#: Small kwargs so the cpu-* engines stay cheap inside the matrix tests.
+#: Small kwargs so the parallel engine stays cheap inside the matrix tests
+#: and still donates (a low threshold) on this small tree.
 ENGINE_KW = {
-    "cpu-threads": {"n_workers": 2},
-    "cpu-process": {"n_workers": 2, "threshold": 4},
-    "cpu-worksteal": {"n_workers": 2},
+    "distributed": {"n_workers": 2, "threshold": 4},
 }
 
 
@@ -107,7 +106,7 @@ class TestDeadlineAndResume:
     def test_cross_engine_resume(self, graph, reference):
         out = solve_anytime(graph, engine="sequential", deadline=0.0)
         assert out.checkpoint is not None
-        final = resume_from(out.checkpoint, graph, engine="cpu-threads",
+        final = resume_from(out.checkpoint, graph, engine="distributed",
                             n_workers=2)
         while not final.complete:
             final = resume_from(final.checkpoint, graph)
@@ -140,7 +139,7 @@ class TestChainedEquivalence:
             assert final.status == "optimal"
 
     @pytest.mark.parametrize("engine", ["stackonly", "hybrid", "globalonly",
-                                        "cpu-threads", "cpu-worksteal"])
+                                        "distributed"])
     def test_engine_budget_chains(self, engine, reference, graph):
         final = solve_to_completion(graph, engine=engine, node_budget=6,
                                     **kw(engine))

@@ -235,7 +235,7 @@ SIM_ENGINES = [
                                           bound=bound)),
 ]
 
-CPU_ENGINES = ("cpu-threads", "cpu-worksteal")
+CPU_ENGINES = ("distributed",)
 
 
 class TestBoundEngineFrontierAgreement:
@@ -271,12 +271,6 @@ class TestBoundEngineFrontierAgreement:
                 res = solve_mvc(graph, engine=ename, n_workers=2, bound=bname)
                 assert res.optimum == reference, (gname, ename, bname)
                 assert_valid_cover(graph, res.cover, res.optimum)
-
-    def test_cpu_process_engine_accepts_bound(self):
-        g = _suite_graphs()[4][1]
-        reference = solve_mvc_sequential(g).optimum
-        res = solve_mvc(g, engine="cpu-process", n_workers=2, bound="matching")
-        assert res.optimum == reference
 
     @pytest.mark.parametrize("gname,graph", _suite_graphs()[:2])
     def test_pvc_feasibility_agrees_across_bounds(self, gname, graph):

@@ -197,7 +197,7 @@ class TestCacheStore:
 # cached == cold, across the engine x bound matrix
 # --------------------------------------------------------------------- #
 class TestCachedEqualsCold:
-    @pytest.mark.parametrize("engine", ["sequential", "cpu-threads"])
+    @pytest.mark.parametrize("engine", ["sequential", "distributed"])
     @pytest.mark.parametrize("bound", ["greedy", "matching"])
     def test_mvc_hit_matches_cold(self, tmp_path, engine, bound):
         g = gnp(26, 0.18, seed=11)
@@ -211,7 +211,7 @@ class TestCachedEqualsCold:
         assert cache.session["hits_exact"] == 1
         assert cache.session["misses"] == 1
 
-    @pytest.mark.parametrize("engine", ["sequential", "cpu-threads"])
+    @pytest.mark.parametrize("engine", ["sequential", "distributed"])
     @pytest.mark.parametrize("bound", ["greedy", "matching"])
     def test_pvc_hit_matches_cold(self, tmp_path, engine, bound):
         g = gnp(24, 0.2, seed=5)
@@ -540,8 +540,8 @@ class TestExperimentKnob:
 
         cfg = ExperimentConfig(cache=str(tmp_path / "c"))
         g = gnp(24, 0.15, seed=41)
-        cold = run_cell("cpu-threads", g, "mvc", None, cfg)
-        warm = run_cell("cpu-threads", g, "mvc", None, cfg)
+        cold = run_cell("distributed", g, "mvc", None, cfg)
+        warm = run_cell("distributed", g, "mvc", None, cfg)
         assert warm.optimum == cold.optimum
         assert warm.nodes == 0
         assert cfg.quick().cache == cfg.cache

@@ -126,6 +126,18 @@ class TestMain:
         for name in FRONTIERS:
             assert name in lines[0]
 
+    @pytest.mark.parametrize("argv,needle", [
+        (["--engine", "cpu-process"], "unknown engine 'cpu-process'"),
+        (["--engine", "sequential", "--frontier", "stealing"],
+         "unknown frontier 'stealing'"),
+    ])
+    def test_removed_engine_and_frontier_names_fail_in_one_line(
+            self, capsys, argv, needle):
+        assert main(["solve", "--graph", "p_hat_300_3", "--scale", "tiny",
+                     *argv]) == 2
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+        assert len(lines) == 1 and needle in lines[0]
+
     def test_solve_unknown_engine_lists_registry(self, capsys):
         from repro.core.solver import ENGINES
 

@@ -170,10 +170,20 @@ class TestSequentialPVC:
 
 class TestFacade:
     def test_engine_names_stable(self):
-        assert set(ENGINES) == {
-            "sequential", "stackonly", "hybrid", "globalonly",
-            "cpu-threads", "cpu-process", "cpu-worksteal", "distributed",
-        }
+        assert ENGINES == ("sequential", "stackonly", "hybrid", "globalonly",
+                           "distributed")
+
+    @pytest.mark.parametrize("removed", ["cpu-threads", "cpu-process",
+                                         "cpu-worksteal"])
+    def test_removed_engines_fail_with_one_line_choices(self, removed):
+        for call in (lambda: solve_mvc(path_graph(3), engine=removed),
+                     lambda: solve_pvc(path_graph(3), 1, engine=removed)):
+            with pytest.raises(ValueError) as err:
+                call()
+            message = str(err.value)
+            assert "\n" not in message
+            assert f"unknown engine {removed!r}" in message
+            assert all(name in message for name in ENGINES)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):

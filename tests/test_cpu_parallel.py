@@ -1,99 +1,78 @@
-"""Tests for the real-parallel CPU engines (threads and processes)."""
+"""Tests for the real-parallel CPU engine: ``distributed``'s process team.
+
+The engine forks ``n_workers`` local worker processes that join the
+coordinator over loopback sockets; these cases pin down its answers and
+its accounting on small graphs.
+"""
 
 import pytest
 
 from repro.core.brute import brute_force_mvc
 from repro.core.verify import assert_valid_cover
-from repro.engines.cpu_process import solve_mvc_processes, solve_pvc_processes
-from repro.engines.cpu_threads import solve_mvc_threads, solve_pvc_threads
 from repro.graph.csr import CSRGraph
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import cycle_graph, petersen
-
-
-class TestThreads:
-    def test_matches_brute_force(self, random_graph_family):
-        for g in random_graph_family[:4]:
-            res = solve_mvc_threads(g, n_workers=3)
-            opt, _ = brute_force_mvc(g)
-            assert res.optimum == opt
-            assert_valid_cover(g, res.cover, res.optimum)
-
-    def test_single_worker(self):
-        g = petersen()
-        res = solve_mvc_threads(g, n_workers=1)
-        assert res.optimum == 6
-
-    def test_many_workers_small_graph(self):
-        # more workers than work: termination must still fire
-        g = cycle_graph(5)
-        res = solve_mvc_threads(g, n_workers=8)
-        assert res.optimum == 3
-
-    def test_pvc_boundary(self):
-        g = petersen()
-        assert solve_pvc_threads(g, 6, n_workers=3).feasible is True
-        assert solve_pvc_threads(g, 5, n_workers=3).feasible is False
-
-    def test_pvc_cover_valid(self):
-        g = gnp(22, 0.3, seed=4)
-        opt = brute_force_mvc(g)[0]
-        res = solve_pvc_threads(g, opt, n_workers=2)
-        assert res.feasible and res.optimum <= opt
-        assert_valid_cover(g, res.cover, res.optimum)
-
-    def test_node_budget(self):
-        g = gnp(30, 0.3, seed=5)
-        res = solve_mvc_threads(g, n_workers=2, node_budget=3)
-        assert res.timed_out
-
-    def test_empty_graph(self):
-        res = solve_mvc_threads(CSRGraph.empty(3), n_workers=2)
-        assert res.optimum == 0
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            solve_mvc_threads(petersen(), n_workers=0)
-
-    def test_per_worker_accounting(self):
-        g = gnp(20, 0.4, seed=6)
-        res = solve_mvc_threads(g, n_workers=3)
-        assert sum(res.per_worker_nodes) == res.nodes_visited
-
-    def test_repeated_runs_same_optimum(self):
-        # scheduling is nondeterministic; the optimum must not be
-        g = gnp(18, 0.35, seed=7)
-        opts = {solve_mvc_threads(g, n_workers=4).optimum for _ in range(3)}
-        assert len(opts) == 1
+from repro.net.distributed import solve_mvc_distributed, solve_pvc_distributed
 
 
 class TestProcesses:
     def test_matches_brute_force(self, random_graph_family):
         for g in random_graph_family[:2]:
-            res = solve_mvc_processes(g, n_workers=2)
+            res = solve_mvc_distributed(g, n_workers=2)
             opt, _ = brute_force_mvc(g)
             assert res.optimum == opt
             assert_valid_cover(g, res.cover, res.optimum)
 
     def test_pvc_boundary(self):
         g = petersen()
-        assert solve_pvc_processes(g, 6, n_workers=2).feasible is True
-        assert solve_pvc_processes(g, 5, n_workers=2).feasible is False
+        assert solve_pvc_distributed(g, 6, n_workers=2).feasible is True
+        assert solve_pvc_distributed(g, 5, n_workers=2).feasible is False
+
+    def test_pvc_cover_valid(self):
+        g = gnp(22, 0.3, seed=4)
+        opt = brute_force_mvc(g)[0]
+        res = solve_pvc_distributed(g, opt, n_workers=2)
+        assert res.feasible and res.optimum <= opt
+        assert_valid_cover(g, res.cover, res.optimum)
 
     def test_empty_graph(self):
-        res = solve_mvc_processes(CSRGraph.empty(3), n_workers=2)
+        res = solve_mvc_distributed(CSRGraph.empty(3), n_workers=2)
         assert res.optimum == 0
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            solve_mvc_processes(petersen(), n_workers=0)
+            solve_mvc_distributed(petersen(), n_workers=0)
 
     def test_moderate_graph(self):
         g = gnp(35, 0.25, seed=9)
-        res = solve_mvc_processes(g, n_workers=3)
+        res = solve_mvc_distributed(g, n_workers=3)
         from repro.core.sequential import solve_mvc_sequential
 
         assert res.optimum == solve_mvc_sequential(g).optimum
+
+    def test_many_workers_small_graph(self):
+        # more workers than work: termination must still fire
+        res = solve_mvc_distributed(cycle_graph(5), n_workers=4)
+        assert res.optimum == 3
+
+    def test_node_budget(self):
+        res = solve_mvc_distributed(gnp(30, 0.3, seed=5), n_workers=2,
+                                    node_budget=3)
+        assert res.timed_out
+
+    def test_per_worker_accounting(self):
+        g = gnp(20, 0.4, seed=6)
+        res = solve_mvc_distributed(g, n_workers=3)
+        assert sum(res.per_worker_nodes) == res.nodes_visited
+
+    def test_single_worker(self):
+        assert solve_mvc_distributed(petersen(), n_workers=1).optimum == 6
+
+    def test_repeated_runs_same_optimum(self):
+        # scheduling is nondeterministic; the optimum must not be
+        g = gnp(18, 0.35, seed=7)
+        opts = {solve_mvc_distributed(g, n_workers=3).optimum for _ in range(3)}
+        assert len(opts) == 1
 
 
 class TestWirePayload:

@@ -463,16 +463,25 @@ class TestBoundAxis:
 
 
 class TestWallClockEngines:
-    def test_cpu_engines_accepted_in_specs(self):
-        spec = tiny_spec(engines=["sequential", "cpu-threads"], cpu_workers=2)
-        assert "cpu-threads" in spec.engines
+    def test_wall_clock_engine_accepted_in_specs(self):
+        spec = tiny_spec(engines=["sequential", "distributed"], cpu_workers=2)
+        assert "distributed" in spec.engines
 
-    def test_unknown_engine_error_names_cpu_engines(self):
-        with pytest.raises(ValueError, match="cpu-worksteal"):
+    def test_unknown_engine_error_names_wall_clock_engine(self):
+        with pytest.raises(ValueError, match="distributed"):
             tiny_spec(engines=["gpu"])
 
+    @pytest.mark.parametrize("removed", ["cpu-threads", "cpu-process",
+                                         "cpu-worksteal"])
+    def test_removed_engines_fail_new_specs_in_one_line(self, removed):
+        with pytest.raises(ValueError) as err:
+            tiny_spec(engines=["sequential", removed])
+        message = str(err.value)
+        assert "\n" not in message
+        assert message.startswith(f"unknown engine {removed!r}; choose from:")
+
     def test_wall_clock_cells_store_wall_seconds_only(self, tmp_path):
-        spec = tiny_spec(engines=["cpu-threads"], frontiers=["lifo"],
+        spec = tiny_spec(engines=["distributed"], frontiers=["lifo"],
                          cpu_workers=2)
         store = RunStore(tmp_path / "store")
         outcome = run_experiment(spec, store)
@@ -487,12 +496,48 @@ class TestWallClockEngines:
         assert verify_run_against_live(store, outcome.run.run_id) == 1
 
     def test_wall_clock_cells_render_outside_table1(self, tmp_path):
-        spec = tiny_spec(engines=["sequential", "cpu-worksteal"],
+        spec = tiny_spec(engines=["sequential", "distributed"],
                          frontiers=["lifo"], cpu_workers=2)
         store = RunStore(tmp_path / "store")
         outcome = run_experiment(spec, store)
         text = write_report(store, outcome.run.run_id)
-        assert "cpu-worksteal" in text
+        assert "distributed" in text
+
+
+#: A committed run whose spec names engines removed since it ran
+#: (``cpu-threads``, ``cpu-process``).
+_LEGACY_RUN = "obs-breakdown-d255fcecf2"
+
+
+def _legacy_store(tmp_path):
+    import shutil
+    from pathlib import Path
+
+    committed = Path(__file__).resolve().parents[1] / "experiments" / _LEGACY_RUN
+    shutil.copytree(committed, tmp_path / _LEGACY_RUN)
+    return RunStore(tmp_path), committed
+
+
+class TestStoredRunsWithRemovedEngines:
+    def test_report_renders_byte_identical(self, tmp_path):
+        store, committed = _legacy_store(tmp_path)
+        assert "cpu-threads" in store.get_run(_LEGACY_RUN).manifest["spec"]["engines"]
+        write_report(store, _LEGACY_RUN)
+        assert (tmp_path / _LEGACY_RUN / "report.md").read_text() == \
+            (committed / "report.md").read_text()
+
+    def test_resume_and_verify_fail_in_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store, _ = _legacy_store(tmp_path)
+        with pytest.raises(ValueError, match="unknown engine 'cpu-threads'"):
+            verify_run_against_live(store, _LEGACY_RUN)
+        for argv in (["resume", _LEGACY_RUN],
+                     ["report", _LEGACY_RUN, "--verify"]):
+            capsys.readouterr()
+            assert main(["experiment", *argv, "--store", str(tmp_path)]) == 2
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert last.startswith("error: unknown engine 'cpu-threads'; choose from:")
 
 
 class TestRunDiff:

@@ -4,9 +4,10 @@ The recovery claims under test:
 
 * engines that arm the step guard re-enqueue a pristine pre-step copy on
   an injected reduce/branch raise and still return the clean optimum;
-* the ``cpu-process`` supervisor survives ``worker_kill`` (re-enqueueing
-  leased sub-trees, respawning with backoff, degrading to an inline
-  drain when every slot dies) and still returns the clean optimum;
+* the ``distributed`` coordinator survives ``worker_kill`` (re-enqueueing
+  leased sub-trees, respawning while its budget lasts, degrading to an
+  inline drain when every worker is gone) and still returns the clean
+  optimum;
 * ``queue_delay`` only widens races, never changes answers.
 """
 
@@ -17,7 +18,8 @@ import pytest
 from repro import faults
 from repro.core.sequential import solve_mvc_sequential
 from repro.core.solver import solve_mvc
-from repro.engines.cpu_process import solve_mvc_processes, solve_pvc_processes
+from repro.net import distributed
+from repro.net.distributed import solve_mvc_distributed, solve_pvc_distributed
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph
@@ -130,14 +132,6 @@ class TestStepFaultRecovery:
         assert out.optimum == expected
         assert out.stats.extra.get("faults_recovered", 0) > 0
 
-    @pytest.mark.parametrize("engine", ["cpu-threads", "cpu-worksteal"])
-    def test_thread_engines_recover(self, engine):
-        graph = gnp(26, 0.3, seed=2)
-        expected = _expected(graph)
-        with faults.injected("branch_raise:0.3:6", seed=1):
-            out = solve_mvc(graph, engine=engine, n_workers=2)
-        assert out.optimum == expected
-
     def test_clean_run_reports_no_recoveries(self):
         out = solve_mvc_sequential(gnp(20, 0.3, seed=1))
         assert "faults_recovered" not in out.stats.extra
@@ -150,7 +144,7 @@ class TestProcessWorkerChaos:
         with faults.injected("worker_kill:0.5:3", seed=11):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                out = solve_mvc_processes(graph, n_workers=2, threshold=4)
+                out = solve_mvc_distributed(graph, n_workers=2, threshold=4)
         assert out.optimum == expected, name
         assert out.workers_lost > 0, f"{name}: no kills fired; test is vacuous"
 
@@ -160,31 +154,44 @@ class TestProcessWorkerChaos:
         with faults.injected("worker_kill:0.5:3", seed=11):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                out = solve_pvc_processes(graph, expected, n_workers=2,
-                                          threshold=4)
+                out = solve_pvc_distributed(graph, expected, n_workers=2,
+                                            threshold=4)
         assert out.feasible is True and out.optimum <= expected
 
     def test_queue_delay_preserves_answers(self):
         graph = gnp(24, 0.2, seed=5)
         expected = _expected(graph)
         with faults.injected("queue_delay:0.5", seed=2):
-            out = solve_mvc_processes(graph, n_workers=2, threshold=4)
+            out = solve_mvc_distributed(graph, n_workers=2, threshold=4)
         assert out.optimum == expected and out.workers_lost == 0
 
     def test_step_raise_inside_workers_recovers(self):
         graph = gnp(26, 0.3, seed=2)
         expected = _expected(graph)
         with faults.injected("reduce_raise:0.3:4", seed=3):
-            out = solve_mvc_processes(graph, n_workers=2, threshold=4)
+            out = solve_mvc_distributed(graph, n_workers=2, threshold=4)
         assert out.optimum == expected
+        assert out.faults_recovered > 0
 
-    def test_degradation_warns_loudly(self):
+    def test_branch_raise_inside_workers_recovers(self):
+        graph = gnp(26, 0.3, seed=2)
+        expected = _expected(graph)
+        with faults.injected("branch_raise:0.3:6", seed=1):
+            out = solve_mvc(graph, engine="distributed", n_workers=2)
+        assert out.optimum == expected
+        assert out.faults_recovered > 0
+
+    def test_degradation_warns_loudly(self, monkeypatch):
+        monkeypatch.setattr(distributed, "MAX_RESPAWNS", 1)
         graph = gnp(30, 0.15, seed=7)
         with faults.injected("worker_kill:0.95:8", seed=1):
             with pytest.warns(RuntimeWarning) as caught:
-                out = solve_mvc_processes(graph, n_workers=2, threshold=4,
-                                          max_respawns=1)
-        assert any("died" in str(w.message) for w in caught)
+                out = solve_mvc_distributed(graph, n_workers=2, threshold=4)
+        messages = [str(w.message) for w in caught]
+        assert any("died" in m for m in messages)
+        assert any("inline" in m for m in messages)
+        assert out.supervision["respawns"] == 2
+        assert out.supervision["inline_drains"] >= 1
         assert out.optimum == _expected(graph)
 
 
@@ -209,7 +216,7 @@ class TestAnytimeUnderChaos:
         with faults.injected("worker_kill:0.5:3", seed=11):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                tripped = solve_anytime(graph, engine="cpu-process",
+                tripped = solve_anytime(graph, engine="distributed",
                                         deadline=0.0, n_workers=2, threshold=4)
         # plan is now cleared: the resume runs clean
         final = tripped

@@ -26,7 +26,6 @@ from repro.core.frontier import (
     GlobalWorklistFrontier,
     HybridThresholdFrontier,
     LifoFrontier,
-    StealingDequeFrontier,
     greedy_bound_key,
     hybrid_should_donate,
     make_frontier,
@@ -80,23 +79,6 @@ class TestFrontierPolicies:
         assert len(f.pool) == 4  # single-owner pushes can never overfill it
         with pytest.raises(ValueError):
             HybridThresholdFrontier(threshold=0)
-
-    def test_stealing_lane_api(self):
-        f = StealingDequeFrontier(n_lanes=2, seed=0)
-        f.push_lane(0, "a")
-        f.push_lane(0, "b")
-        assert f.pop_own(0) == "b"          # own end: newest
-        assert f.pop_own(1) is None
-        assert f.steal(1) == "a"            # victim's oldest
-        assert f.steals == 1
-        assert f.steal(1) is None and len(f) == 0
-
-    def test_stealing_single_owner_is_lifo_with_one_lane(self):
-        f = StealingDequeFrontier(n_lanes=1)
-        for i in range(3):
-            f.push(i)
-        assert [f.pop() for _ in range(3)] == [2, 1, 0]
-        assert f.pop() is None
 
     def test_best_first_orders_by_key_then_insertion(self):
         f = BestFirstFrontier(key=lambda item: item[0])
@@ -169,7 +151,7 @@ SIM_ENGINES = [
     ("globalonly", lambda: GlobalOnlyEngine(device=TINY_SIM)),
 ]
 
-CPU_ENGINES = ["cpu-threads", "cpu-worksteal", "cpu-process"]
+CPU_ENGINES = ["distributed"]
 
 
 def _suite_graphs():

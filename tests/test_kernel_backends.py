@@ -345,13 +345,13 @@ class TestNativeBackend:
             native.reduce(g, ok, form, Workspace.for_graph(g), None,
                           np.arange(3, dtype=np.int32))
 
-    def test_cpu_threads_solve_matches_sequential(self):
+    def test_distributed_solve_matches_sequential(self):
         from repro.core.solver import solve_mvc
 
         _backend("native")
         g = gnp(70, 0.1, seed=4)
         seq = solve_mvc(g, kernels="scalar")
-        par = solve_mvc(g, engine="cpu-threads", n_workers=3, kernels="native")
+        par = solve_mvc(g, engine="distributed", n_workers=3, kernels="native")
         assert par.optimum == seq.optimum
         assert len(par.cover) == par.optimum
 

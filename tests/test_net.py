@@ -9,21 +9,12 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.core.sequential import solve_mvc_sequential
-from repro.engines.cpu_process import (
-    CommStats,
-    _next_batch,
-    solve_mvc_processes,
-)
-from repro.graph.degree_array import (
-    VCState,
-    decode_wire,
-    fresh_state,
-    wire_nbytes,
-)
+from repro.graph.degree_array import VCState, fresh_state
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import petersen
 from repro.graph.plane import GraphPlane
-from repro.net.distributed import solve_mvc_distributed, solve_pvc_distributed
+from repro.net import distributed
+from repro.net.distributed import CommStats, solve_mvc_distributed, solve_pvc_distributed
 from repro.net.transport import (
     FrameDecoder,
     MessageStream,
@@ -81,7 +72,7 @@ class TestWireCodecV2:
         state = fresh_state(g)
         state.deg[3] = 0  # one touched vertex: near-root frame
         frame = state.to_wire_v2(root_deg)
-        assert wire_nbytes(frame) < wire_nbytes(state.to_wire())
+        assert len(frame) < len(state.to_wire()[0])
 
     def test_dense_fallback_still_roundtrips(self):
         g = gnp(50, 0.4, seed=2)
@@ -90,16 +81,6 @@ class TestWireCodecV2:
         state.deg[:] = np.arange(g.n) % 5 - 1  # every entry differs
         out = VCState.from_wire_v2(state.to_wire_v2(root_deg), root_deg)
         assert np.array_equal(out.deg, state.deg)
-
-    def test_decode_wire_dispatches_on_payload_type(self):
-        g = petersen()
-        root_deg = np.asarray(g.degrees, dtype=np.int32)
-        state = fresh_state(g)
-        assert np.array_equal(decode_wire(state.to_wire()).deg, state.deg)
-        assert np.array_equal(
-            decode_wire(state.to_wire_v2(root_deg), root_deg).deg, state.deg)
-        with pytest.raises(ValueError):
-            decode_wire(state.to_wire_v2(root_deg))  # v2 needs the base
 
     def test_version_byte_is_validated(self):
         g = petersen()
@@ -220,70 +201,22 @@ class TestFraming:
 
 
 # --------------------------------------------------------------------- #
-# busy-poll regression (satellite: blocking get, not a 20 ms spin)
-# --------------------------------------------------------------------- #
-class _IdleQueue:
-    """A work queue that is empty forever; counts the polls it sees."""
-
-    def __init__(self):
-        self.gets = []
-
-    def get(self, timeout=None):
-        import queue as queue_mod
-
-        self.gets.append(timeout)
-        raise queue_mod.Empty
-
-
-class TestIdleBackoff:
-    def test_backoff_doubles_to_heartbeat_cap(self):
-        from repro.engines.cpu_process import _BACKOFF_MIN_S, _HEARTBEAT_S
-
-        q = _IdleQueue()
-        calls = [0]
-
-        def stop():
-            calls[0] += 1
-            return calls[0] > 12
-
-        assert _next_batch(q, stop) is None
-        assert q.gets[0] == pytest.approx(_BACKOFF_MIN_S)
-        for earlier, later in zip(q.gets, q.gets[1:]):
-            assert later == pytest.approx(min(earlier * 2.0, _HEARTBEAT_S))
-        assert q.gets[-1] == pytest.approx(_HEARTBEAT_S)
-
-    def test_idle_worker_does_not_spin(self):
-        """One simulated idle second costs ~25 polls, not the old 50."""
-        q = _IdleQueue()
-        # the recorded timeouts are exactly how long the real queue.get
-        # would have slept, so their sum is the simulated idle time
-        assert _next_batch(q, lambda: sum(q.gets) >= 1.0) is None
-        assert sum(q.gets) >= 1.0
-        # doubling 1ms -> 50ms cap: ~6 ramp polls + ~19 heartbeat polls;
-        # the old fixed 20ms spin needed 50 and a 1ms spin 1000
-        assert len(q.gets) <= 40
-
-
-# --------------------------------------------------------------------- #
-# batched leases + codec selection on the process engine
+# batched leases
 # --------------------------------------------------------------------- #
 class TestBatchedLeases:
-    def test_batch_and_codec_equivalence(self):
+    def test_lease_batch_equivalence(self, monkeypatch):
+        """Forked workers inherit the patched batch size; the protocol
+        reaches the same optimum per-node (1) and batched (default)."""
         g = gnp(30, 0.25, seed=4)
         want = solve_mvc_sequential(g).optimum
-        for lease_batch in (1, 8):
-            for codec in ("v1", "v2"):
-                res = solve_mvc_processes(g, n_workers=2,
-                                          lease_batch=lease_batch, codec=codec)
-                assert res.optimum == want, (lease_batch, codec)
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError):
-            solve_mvc_processes(petersen(), n_workers=1, codec="v9")
+        for lease_batch in (1, distributed.LEASE_BATCH):
+            monkeypatch.setattr(distributed, "LEASE_BATCH", lease_batch)
+            res = solve_mvc_distributed(g, n_workers=2)
+            assert res.optimum == want, lease_batch
 
     def test_comms_counters_present(self):
         g = gnp(25, 0.3, seed=5)
-        res = solve_mvc_processes(g, n_workers=2)
+        res = solve_mvc_distributed(g, n_workers=2)
         assert res.comms is not None
         totals = res.comms["totals"]
         assert set(CommStats.FIELDS) <= set(totals)
@@ -318,24 +251,75 @@ class TestDistributed:
         assert len(per_worker) == 2
         assert all(c["subtrees"] > 0 for c in per_worker.values())
 
-    def test_exact_wire_counters_reported(self):
-        """Socket workers report exact transport bytes next to the
-        wire_nbytes() estimates, and the graph-inline v1 path shows the
-        shipment the shared plane avoids.  A reduction-dominated instance
-        keeps the comparison structural (graph frame vs plane attach)
-        rather than at the mercy of lease-count scheduling noise."""
+    def test_failed_plane_attach_ships_the_graph_inline(self, monkeypatch):
+        """A worker that cannot attach the shared plane — a remote host —
+        answers need_graph, receives the CSR arrays inline and still
+        reaches the optimum.  Socket workers report exact transport bytes,
+        and the inline graph frame shows the shipment the plane avoids.  A
+        reduction-dominated instance keeps the comparison structural
+        (graph frame vs plane attach) rather than at the mercy of
+        lease-count scheduling noise."""
         from repro.graph.generators.suites import paper_suite
 
         g = next(i for i in paper_suite("small")
                  if i.name == "lastfm_asia").graph()
-        v2 = solve_mvc_distributed(g, n_workers=2, codec="v2").comms["totals"]
-        v1 = solve_mvc_distributed(g, n_workers=2, codec="v1").comms["totals"]
-        for totals in (v1, v2):
+        want = solve_mvc_sequential(g).optimum
+        attached = solve_mvc_distributed(g, n_workers=2)
+
+        def refuse(name):
+            raise FileNotFoundError(name)
+
+        # forked workers inherit the patch: every attach fails
+        monkeypatch.setattr(GraphPlane, "attach", staticmethod(refuse))
+        inline = solve_mvc_distributed(g, n_workers=2)
+        assert attached.optimum == inline.optimum == want
+        for totals in (attached.comms["totals"], inline.comms["totals"]):
             assert totals["wire_sent"] > 0
             assert totals["wire_received"] > 0
-        # v1 workers each receive the n=300 CSR arrays inline; v2 workers
-        # attach the shm plane instead — a multi-KB structural gap.
-        assert v1["wire_received"] > 4 * v2["wire_received"]
+        # inline workers each receive the n=300 CSR arrays; attached
+        # workers map the shm plane instead — a multi-KB structural gap.
+        assert inline.comms["totals"]["wire_received"] > \
+            4 * attached.comms["totals"]["wire_received"]
+
+    def test_done_in_the_same_poll_as_a_lease_is_not_lost(self):
+        """A coordinator that stops (node budget, PVC found, deadline)
+        right after feeding a lease sends ``done`` behind the ``work``
+        frame.  The worker must see it, wind down and send its result,
+        not drain the lease and then wait for work forever."""
+        import threading
+
+        from repro.core.kernel_backends import resolve_kernels
+
+        g = gnp(20, 0.3, seed=1)
+        root_deg = np.asarray(g.degrees, dtype=np.int32)
+        ours, theirs = socket.socketpair()
+        coordinator = MessageStream(ours)
+        worker = threading.Thread(
+            target=distributed._worker_session,
+            args=(MessageStream(theirs), 0), daemon=True)
+        worker.start()
+        try:
+            assert coordinator.recv(timeout=10)[0] == "hello"
+            coordinator.send(("plane", None, g.n, int(g.indices.size)))
+            assert coordinator.recv(timeout=10) == ("need_graph",)
+            coordinator.send(("graph", g.indptr.tobytes(), g.indices.tobytes()))
+            coordinator.send(("init", {
+                "mode": "mvc", "k": 0, "bound": "greedy",
+                "kernels": resolve_kernels(None).name, "threshold": 32,
+                "initial_best": g.n + 1, "deadline_s": None}))
+            assert coordinator.recv(timeout=10) == ("ready",)
+            root = fresh_state(g).to_wire_v2(root_deg)
+            ours.sendall(encode_frame(("work", [root], 0))
+                         + encode_frame(("done",)))
+            kinds = []
+            while not kinds or kinds[-1] != "result":
+                kinds.append(coordinator.recv(timeout=10)[0])
+            assert "lease_done" in kinds
+        finally:
+            worker.join(timeout=10)
+            coordinator.close()
+            theirs.close()
+        assert not worker.is_alive()
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -448,11 +432,11 @@ class TestCli:
         assert rc == 2
         assert "--workers" in capsys.readouterr().out
 
-    def test_hosts_rejected_for_cpu_process(self, capsys):
+    def test_hosts_rejected_for_sequential(self, capsys):
         from repro.cli import main
 
         rc = main(["solve", "--graph", "p_hat_300_1", "--scale", "tiny",
-                   "--engine", "cpu-process", "--hosts", "1"])
+                   "--engine", "sequential", "--hosts", "1"])
         assert rc == 2
         assert "--hosts" in capsys.readouterr().out
 
@@ -481,7 +465,7 @@ class TestExperimentAxes:
 
         spec = load_spec({"name": "neutral", "scale": "tiny",
                           "instances": ["p_hat_300_1"],
-                          "engines": ["cpu-process"]})
+                          "engines": ["distributed"]})
         _, planned = plan_run(spec)
         for cell in planned:
             identity = cell.identity()
@@ -493,7 +477,7 @@ class TestExperimentAxes:
         with pytest.raises(ValueError, match="distributed"):
             load_spec({"name": "bad", "scale": "tiny",
                        "instances": ["p_hat_300_1"],
-                       "engines": ["cpu-process"], "hosts": [1]})
+                       "engines": ["sequential"], "hosts": [1]})
 
     def test_spec_roundtrips_the_axes(self):
         from repro.experiment.spec import ExperimentSpec, load_spec

@@ -162,22 +162,22 @@ class TestMetrics:
 
     def test_publish_bridges(self):
         metrics.REGISTRY.reset()
-        metrics.publish_comms("cpu-process", {"donations": 3, "idle_s": 0.5,
+        metrics.publish_comms("distributed", {"donations": 3, "idle_s": 0.5,
                                               "obs_reduce_s": 0.1, "skip": "x"})
-        metrics.publish_supervision("cpu-process",
+        metrics.publish_supervision("distributed",
                                     {"recovered": 2.0, "respawns": 0.0})
-        metrics.publish_search("cpu-process", 17, optimum=9, wall_seconds=0.2)
+        metrics.publish_search("distributed", 17, optimum=9, wall_seconds=0.2)
         val = metrics.REGISTRY.value
-        assert val("repro_comms_donations_total", engine="cpu-process") == 3.0
-        assert val("repro_comms_obs_reduce_s_total", engine="cpu-process") \
+        assert val("repro_comms_donations_total", engine="distributed") == 3.0
+        assert val("repro_comms_obs_reduce_s_total", engine="distributed") \
             == pytest.approx(0.1)
-        assert val("repro_supervision_events_total", engine="cpu-process",
+        assert val("repro_supervision_events_total", engine="distributed",
                    event="recovered") == 2.0
         # zero-valued events are skipped, not registered
-        assert val("repro_supervision_events_total", engine="cpu-process",
+        assert val("repro_supervision_events_total", engine="distributed",
                    event="respawns") is None
-        assert val("repro_nodes_visited_total", engine="cpu-process") == 17.0
-        assert val("repro_last_optimum", engine="cpu-process") == 9.0
+        assert val("repro_nodes_visited_total", engine="distributed") == 17.0
+        assert val("repro_last_optimum", engine="distributed") == 9.0
 
 
 # --------------------------------------------------------------------- #
@@ -397,24 +397,13 @@ class TestSolveEnvelope:
         assert metrics.REGISTRY.value("repro_last_optimum",
                                       engine="sequential") == float(expected)
 
-    def test_armed_cpu_threads_publishes_comms(self):
+    def test_armed_distributed_publishes_comms(self):
         obs.arm()
-        out = solve_mvc(GRAPH, engine="cpu-threads", n_workers=2)
+        out = solve_mvc(GRAPH, engine="distributed", n_workers=2)
         assert out.comms["totals"]["subtrees"] > 0
+        assert any(k.startswith("obs_") for k in out.comms["totals"])
         assert metrics.REGISTRY.value("repro_comms_donations_total",
-                                      engine="cpu-threads") is not None
-
-    def test_spans_survive_fork_hop(self):
-        """cpu-process workers inherit the trace id over fork and drain
-        spans home through the result event."""
-        tracer = obs.arm()
-        out = solve_mvc(GRAPH, engine="cpu-process", n_workers=2)
-        assert out.optimum == solve_mvc_sequential(GRAPH).optimum
-        pids = {s.pid for s in tracer.spans}
-        assert len(pids) >= 2, "no worker spans made it home over the fork"
-        _assert_well_nested(tracer.spans)
-        totals = out.comms["totals"]
-        assert any(k.startswith("obs_") for k in totals)
+                                      engine="distributed") is not None
 
     def test_spans_survive_socket_hop(self):
         """distributed workers arm from the init frame and ship spans
@@ -437,13 +426,13 @@ class TestSolveEnvelope:
         with faults.injected("worker_kill:0.5:3", seed=11):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                out = solve_mvc(GRAPH, engine="cpu-process", n_workers=2,
+                out = solve_mvc(GRAPH, engine="distributed", n_workers=2,
                                 threshold=4)
         assert out.optimum == solve_mvc_sequential(GRAPH).optimum
         assert out.supervision["workers_lost"] > 0
         assert metrics.REGISTRY.value(
             "repro_supervision_events_total",
-            engine="cpu-process", event="workers_lost") > 0
+            engine="distributed", event="workers_lost") > 0
 
 
 # --------------------------------------------------------------------- #
@@ -473,7 +462,7 @@ class TestExperimentTelemetry:
         seq = run_cell("sequential", GRAPH, "mvc", None, cfg)
         assert "cycles_by_kind" in seq.obs
         assert all(v > 0 for v in seq.obs["cycles_by_kind"].values())
-        wall = run_cell("cpu-threads", GRAPH, "mvc", None, cfg)
+        wall = run_cell("distributed", GRAPH, "mvc", None, cfg)
         assert "wall_by_kind" in wall.obs
         assert wall.obs["wall_by_kind"].get("reduce", 0) > 0
         # cells leave the plane as they found it
@@ -511,7 +500,7 @@ class TestExperimentTelemetry:
         spec = ExperimentSpec(
             name="obs-t", scale="tiny", device="TinySim",
             instances=(InstanceRef(suite="p_hat_300_1"),),
-            engines=("sequential", "cpu-threads"),
+            engines=("sequential", "distributed"),
             instance_types=("mvc",), seq_node_guard=4000,
             engine_node_guard=2500, virtual_budget_s=0.01,
             telemetry=True,
@@ -523,7 +512,7 @@ class TestExperimentTelemetry:
         sides = {(r["engine"], side) for r in rows
                  for side in ("predicted", "measured") if side in r}
         assert ("sequential", "predicted") in sides
-        assert ("cpu-threads", "measured") in sides
+        assert ("distributed", "measured") in sides
         text = render_report(store, outcome.run.run_id)
         assert "## Activity breakdown — sim-predicted vs wall-measured" in text
         assert "measured" in text
