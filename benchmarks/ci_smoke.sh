@@ -11,7 +11,9 @@
 # engine/frontier combination disagrees on a tiny-instance cover size
 # (the step-core/frontier layering guard; see docs/ARCHITECTURE.md),
 # any bound/engine combination disagrees — or a strong bound fails to
-# shrink a bipartite search tree — (the bounds-layer guard), or the
+# shrink a bipartite search tree, or a native-kernel bound walks a
+# different sequential tree than the scalar one — (the bounds-layer
+# guard), or the
 # experiment layer's smoke grid (which sweeps the bound axis) fails its
 # schema / zero-recompute resume / bit-identical verification gate
 # (see docs/EXPERIMENTS.md), or the distributed-engine gate fails
@@ -97,6 +99,7 @@ EOF
 # --- bound x engine agreement matrix (+ bipartite tree-shrink guard) ---
 python - <<'EOF'
 from repro.core.bounds import BOUNDS
+from repro.core.kernel_backends import native_available
 from repro.core.sequential import solve_mvc_sequential
 from repro.core.solver import ENGINES, solve_mvc
 from repro.graph.generators.phat import phat_complement
@@ -126,10 +129,23 @@ for strong in ("matching", "konig"):
     nodes = solve_mvc_sequential(bip, bound=strong).stats.nodes_visited
     assert nodes < greedy_nodes, (strong, nodes, greedy_nodes)
     checked += 1
+# the compiled bounds must walk the interpreted bounds' exact tree
+if native_available():
+    for name, graph in instances + [("bipartite40", bip)]:
+        for bound in ("degree", "matching", "konig", "combined"):
+            nodes = {kernels: solve_mvc_sequential(
+                         graph, bound=bound, kernels=kernels).stats.nodes_visited
+                     for kernels in ("native", "scalar")}
+            assert nodes["native"] == nodes["scalar"], (name, bound, nodes)
+            checked += 2
+    bounds_note = "compiled, checked"
+else:
+    bounds_note = "unavailable (no working C compiler), not checked"
 print(f"ci_smoke: bound x engine matrix OK "
       f"({checked} solver runs, {len(instances)} instances, "
       f"{len(BOUNDS)} bounds, {len(ENGINES)} engines, "
       f"bipartite tree-shrink verified)")
+print(f"ci_smoke: native bounds {bounds_note}")
 EOF
 
 # --- experiment layer: tiny grid -> schema + resume + fidelity gate ---

@@ -225,11 +225,13 @@ def _solve(
 
     if formulation == "mvc":
         if interrupted:
-            lower = frontier_lower_bound(graph, pending_states, bound, optimum)
+            lower = frontier_lower_bound(graph, pending_states, bound, optimum,
+                                         opts.get("kernels"))
         else:
             lower = optimum
     else:
-        lower = frontier_lower_bound(graph, pending_states, bound, None)
+        lower = frontier_lower_bound(graph, pending_states, bound, None,
+                                     opts.get("kernels"))
         if not interrupted and not has_cover and lower is None:
             lower = None if k is None else k + 1  # exhausted: no <= k cover exists
 
@@ -286,7 +288,7 @@ def _run_sequential(
 ):
     """The in-process path: run the Fig. 1 loop on a frontier we own."""
     ws = Workspace.for_graph(graph)
-    bound_obj = make_bound(bound, graph, ws)
+    bound_obj = make_bound(bound, graph, ws, opts.get("kernels"))
     frontier_obj = (LifoFrontier() if frontier is None
                     else make_frontier(frontier, bound=bound_obj))
     if k is None:

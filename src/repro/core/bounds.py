@@ -20,10 +20,10 @@ Registered policies (:data:`BOUNDS`):
   prune above.  Its :meth:`~BoundPolicy.lower_bound` is the greedy
   bound ``ceil(|E'| / Δ')`` that :func:`repro.core.frontier.greedy_bound_key`
   already orders the best-first frontier by.
-* ``degree`` — sorted-degree prefix bound: the smallest ``t`` such that
-  the ``t`` largest alive degrees sum to at least ``|E'|`` (a cover of
-  size ``t`` covers at most that many edges).  One vectorized sort per
-  evaluation; strictly at least as strong as ``ceil(|E'| / Δ')``.
+* ``degree`` — degree prefix bound: the smallest ``t`` such that the
+  ``t`` largest alive degrees sum to at least ``|E'|`` (a cover of size
+  ``t`` covers at most that many edges); strictly at least as strong as
+  ``ceil(|E'| / Δ')``.
 * ``matching`` — greedy maximal matching of the alive subgraph: every
   matching edge needs one distinct cover vertex, so ``|M|`` is a lower
   bound.  Construction stops early once the bound already prunes.
@@ -32,8 +32,22 @@ Registered policies (:data:`BOUNDS`):
   when that subgraph is bipartite (the machinery from
   :mod:`repro.core.matching`); an odd cycle falls back to the maximal
   matching bound.
-* ``combined`` — the max of a configured member set (default: all of
-  the above), evaluated cheapest-first with prune short-circuiting.
+* ``combined`` — the max of a configured member set (default: greedy,
+  degree, matching), evaluated in order, stopping once the node prunes.
+
+Where the work runs: ``degree``, ``matching``, ``combined`` and the
+``konig`` odd-cycle fallback evaluate through the traversal's kernel
+backend (:meth:`repro.core.kernel_backends.KernelBackend.lower_bound`),
+which :func:`make_bound` receives already resolved.  ``native`` makes
+one C call per evaluation — the whole ``combined`` member list included
+— of about 5 µs on a 90-vertex graph (O(n + Δ) for ``degree`` by
+counting over degrees, one alive-adjacency walk for ``matching``).
+``scalar`` and ``numpy`` run the interpreted reference: a NumPy sort
+for ``degree`` (about 3× the native cost there) and a per-vertex Python
+loop for ``matching`` (about 100×).  Both return the same value for
+every state and cap, so the search tree never depends on the
+backend.  ``greedy`` reads two carried counters and never calls a
+kernel; the Hopcroft–Karp part of ``konig`` stays interpreted.
 
 Admissibility contract: ``lower_bound(state)`` must never exceed the
 true minimum number of *additional* vertices any cover of the remaining
@@ -62,12 +76,16 @@ to the new ``lower_bound`` activity kind.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..graph.csr import CSRGraph
 from ..graph.degree_array import VCState, Workspace, alive_vertices
+from .kernel_backends import (
+    LOWER_BOUND_MEMBERS,
+    KernelBackend,
+    greedy_lower_bound,
+    resolve_kernels,
+)
 
 __all__ = [
     "BoundPolicy",
@@ -95,6 +113,8 @@ class BoundPolicy:
     bound), True for everything else — :class:`~repro.core.nodestep.NodeStep`
     only emits ``lower_bound`` charges for charged policies, which is
     what keeps the default engines' charge streams untouched.
+    ``kernels`` is the traversal's kernel backend (a name, an instance or
+    ``None`` for the process default), resolved for this graph once.
     """
 
     #: registry identifier; also what travels through CLI/spec/wire.
@@ -102,9 +122,23 @@ class BoundPolicy:
     #: whether NodeStep meters this policy through the cost model.
     charged: bool = True
 
-    def __init__(self, graph: CSRGraph, ws: Optional[Workspace] = None) -> None:
+    def __init__(
+        self,
+        graph: CSRGraph,
+        ws: Optional[Workspace] = None,
+        kernels: Union[KernelBackend, str, None] = None,
+    ) -> None:
         self.graph = graph
         self.ws = ws
+        self.kernels = resolve_kernels(kernels).for_graph(graph.n, graph.m)
+
+    def _kernel_bound(self, state: VCState, members: Tuple[str, ...],
+                      cap: Optional[int]) -> int:
+        """The ``members`` lower bound through the kernel backend."""
+        ws = self.ws
+        if ws is None:  # built on first evaluation, reused after
+            ws = self.ws = Workspace.for_graph(self.graph)
+        return self.kernels.lower_bound(self.graph, state, members, cap, ws)
 
     def lower_bound(self, state: VCState, cap: Optional[int] = None) -> int:
         """Admissible lower bound on the *extra* cover ``G'`` still needs.
@@ -142,24 +176,6 @@ class BoundPolicy:
         return state.cover_size + self.lower_bound(state)
 
 
-def _greedy_lower_bound(state: VCState) -> int:
-    """``ceil(|E'| / Δ')`` using the carried stale-high degree hint.
-
-    The same quantity (and the same hint discipline) as
-    :func:`repro.core.frontier.greedy_bound_key`: a too-large Δ' only
-    loosens the bound, so the stale-high ``max_deg_hint`` is sound.
-    """
-    edges = state.edge_count
-    if edges <= 0:
-        return 0
-    max_deg = state.max_deg_hint
-    if max_deg <= 0:
-        max_deg = int(state.deg.max())
-        if max_deg <= 0:  # pragma: no cover - edge_count > 0 implies a degree
-            max_deg = 1
-    return -(-edges // max_deg)
-
-
 class GreedyBound(BoundPolicy):
     """The paper's hard-wired rule, now as the default policy.
 
@@ -176,7 +192,7 @@ class GreedyBound(BoundPolicy):
     charged = False
 
     def lower_bound(self, state: VCState, cap: Optional[int] = None) -> int:
-        return _greedy_lower_bound(state)
+        return greedy_lower_bound(state)
 
     def prune(self, state: VCState, budget: int) -> bool:
         return budget < 0 or state.edge_count > budget * budget
@@ -186,59 +202,20 @@ class GreedyBound(BoundPolicy):
 
 
 class DegreeBound(BoundPolicy):
-    """Sorted-degree prefix bound (cheap, Δ-array based).
+    """Degree prefix bound (cheap, Δ-array based).
 
     Any cover of size ``t`` covers at most the sum of its members'
     degrees ≤ the sum of the ``t`` largest alive degrees, so the
     smallest ``t`` whose descending-degree prefix sum reaches ``|E'|``
     is admissible — at least as strong as ``ceil(|E'| / Δ')`` and never
-    weaker than one extra vertex of it.  One vectorized sort + cumsum
-    per evaluation; ``cost_units`` prices the degree-array scan.
+    weaker than one extra vertex of it.  ``cost_units`` prices the
+    degree-array scan.
     """
 
     name = "degree"
 
     def lower_bound(self, state: VCState, cap: Optional[int] = None) -> int:
-        edges = state.edge_count
-        if edges <= 0:
-            return 0
-        deg = state.deg
-        alive = deg[deg > 0]
-        if alive.size == 0:  # pragma: no cover - edge_count > 0 implies degrees
-            return 0
-        order = np.sort(alive)[::-1]
-        prefix = np.cumsum(order)
-        return int(np.searchsorted(prefix, edges)) + 1
-
-
-def _maximal_matching_size(
-    graph: CSRGraph,
-    deg: np.ndarray,
-    cap: Optional[int] = None,
-) -> int:
-    """Greedy maximal matching of the alive subgraph, early-exiting at ``cap``.
-
-    Scans alive vertices in id order and matches each with its first
-    alive unmatched neighbour — deterministic, O(|E'|), and a valid
-    lower bound at any prefix (each matching edge pins one distinct
-    cover vertex), which is what makes the ``cap`` early exit sound.
-    """
-    matched = np.zeros(graph.n, dtype=bool)
-    size = 0
-    neighbors = graph.neighbors
-    for v in np.flatnonzero(deg > 0):
-        v = int(v)
-        if matched[v]:
-            continue
-        nbrs = neighbors(v)
-        live = nbrs[(deg[nbrs] >= 0) & ~matched[nbrs]]
-        if live.size:
-            matched[v] = True
-            matched[int(live[0])] = True
-            size += 1
-            if cap is not None and size > cap:
-                return size
-    return size
+        return self._kernel_bound(state, ("degree",), cap)
 
 
 class MatchingBound(BoundPolicy):
@@ -255,9 +232,7 @@ class MatchingBound(BoundPolicy):
     name = "matching"
 
     def lower_bound(self, state: VCState, cap: Optional[int] = None) -> int:
-        if state.edge_count <= 0:
-            return 0
-        return _maximal_matching_size(self.graph, state.deg, cap)
+        return self._kernel_bound(state, ("matching",), cap)
 
     def cost_units(self, state: VCState) -> float:
         # one alive-adjacency walk: every alive half-edge may be examined
@@ -287,7 +262,7 @@ class KonigBound(BoundPolicy):
         sub = self.graph.subgraph(alive)
         parts = bipartition(sub)
         if parts is None:
-            return _maximal_matching_size(self.graph, state.deg, cap)
+            return self._kernel_bound(state, ("matching",), cap)
         left, right = parts
         match = hopcroft_karp(sub, left, right)
         return sum(1 for u in left if int(u) in match)
@@ -302,10 +277,13 @@ class KonigBound(BoundPolicy):
 class CombinedBound(BoundPolicy):
     """Max of a configured member set, evaluated cheapest-first.
 
-    ``prune`` short-circuits on the first member that kills the node, so
-    the expensive tail (matching / König) only ever runs on nodes the
-    cheap bounds could not prune; ``lower_bound`` is the max over the
-    members (admissible because each member is).
+    ``lower_bound`` is the max over the members (admissible because each
+    member is), evaluated in member order and stopping as soon as the
+    node is pruned, so the expensive tail (matching / König) only runs
+    on nodes the cheap bounds could not prune.  The inherited ``prune``
+    asks exactly that, after the free Buss pre-test.  A member list of
+    kernel members (greedy, degree, matching — the default) is one
+    kernel call per evaluation.
     """
 
     name = "combined"
@@ -318,25 +296,26 @@ class CombinedBound(BoundPolicy):
         graph: CSRGraph,
         ws: Optional[Workspace] = None,
         members: Optional[Sequence[str]] = None,
+        kernels: Union[KernelBackend, str, None] = None,
     ) -> None:
-        super().__init__(graph, ws)
+        super().__init__(graph, ws, kernels)
         names = tuple(members) if members is not None else self.DEFAULT_MEMBERS
         if not names:
             raise ValueError("combined bound needs at least one member")
-        self.members = tuple(make_bound(name, graph, ws) for name in names)
+        self.members = tuple(make_bound(name, graph, ws, self.kernels)
+                             for name in names)
+        self._fused = (names if all(name in LOWER_BOUND_MEMBERS for name in names)
+                       else None)
 
     def lower_bound(self, state: VCState, cap: Optional[int] = None) -> int:
+        if self._fused is not None:
+            return self._kernel_bound(state, self._fused, cap)
         best = 0
         for member in self.members:
             best = max(best, member.lower_bound(state, cap=cap))
             if cap is not None and best > cap:
                 break
         return best
-
-    def prune(self, state: VCState, budget: int) -> bool:
-        if budget < 0 or state.edge_count > budget * budget:
-            return True
-        return any(member.prune(state, budget) for member in self.members)
 
     def cost_units(self, state: VCState) -> float:
         return sum(member.cost_units(state) for member in self.members)
@@ -356,12 +335,18 @@ def make_bound(
     name: str,
     graph: CSRGraph,
     ws: Optional[Workspace] = None,
+    kernels: Union[KernelBackend, str, None] = None,
 ) -> BoundPolicy:
-    """Instantiate a registered bound policy for one traversal."""
+    """Instantiate a registered bound policy for one traversal.
+
+    ``kernels`` is the traversal's kernel backend (already resolved by
+    the caller, or a name / ``None`` for the process default); the
+    kernel-evaluated bounds run through it.
+    """
     try:
         factory = BOUNDS[name]
     except KeyError:
         raise ValueError(
             f"unknown bound {name!r}; choose from {sorted(BOUNDS)}"
         ) from None
-    return factory(graph, ws)
+    return factory(graph, ws, kernels=kernels)

@@ -1,7 +1,9 @@
 """Pluggable kernel backends: the ``KERNELS`` dispatch registry.
 
 The reduction cascade, the branch-step expansion, and the greedy bound —
-the three call families ``BENCH_micro.json`` tracks — historically chose
+the three call families ``BENCH_micro.json`` tracks — plus the
+non-default bound policies' lower bounds (:meth:`KernelBackend.lower_bound`)
+run through one dispatch object.  The first three historically chose
 between a pure-Python scalar path and the vectorized dirty-worklist
 kernels through mutable module-level cutoff globals in
 :mod:`repro.core.kernels` (``scalar_path_ok`` consulted ad hoc by
@@ -30,7 +32,11 @@ fixpoint** of :func:`repro.core.reductions.apply_reductions_reference` —
 same ``deg`` array, ``cover_size``, ``edge_count``, reduction counters and
 dirty-hint consumption — so sim charge streams and the Table I numbers
 are frozen whatever backend a run selects (property-tested in
-``tests/test_kernel_backends.py``).
+``tests/test_kernel_backends.py``).  Likewise every backend's
+``lower_bound`` returns exactly the interpreted reference's value (the
+``scalar``/``numpy`` implementation below), cap truncation included, so
+prune decisions and node counts never depend on the backend
+(``tests/test_bounds.py``).
 
 Charged (cost-model) runs are backend-independent by construction: the
 shared :meth:`KernelBackend.cascade` entry routes any charged call to the
@@ -42,7 +48,8 @@ Adding a backend (mirroring the frontier/bound how-tos):
 
 1. subclass :class:`KernelBackend`, implement ``reduce`` /
    ``expand_children`` / ``greedy_cover`` (and ``uses_adjacency`` if the
-   implementation walks cached adjacency tuples);
+   implementation walks cached adjacency tuples; override ``lower_bound``
+   only with a faster exact port of the interpreted reference);
 2. register a zero-argument factory in :data:`KERNELS`;
 3. add the backend to the equivalence matrix in
    ``tests/test_kernel_backends.py`` — the property tests are the
@@ -76,7 +83,89 @@ __all__ = [
     "get_default_kernels",
     "set_default_kernels",
     "native_available",
+    "LOWER_BOUND_MEMBERS",
+    "greedy_lower_bound",
 ]
+
+
+# --------------------------------------------------------------------- #
+# lower bounds: the interpreted reference (scalar / numpy backends)
+# --------------------------------------------------------------------- #
+
+def greedy_lower_bound(state: VCState) -> int:
+    """``ceil(|E'| / Δ')`` using the carried stale-high degree hint.
+
+    The same quantity (and the same hint discipline) as
+    :func:`repro.core.frontier.greedy_bound_key`: a too-large Δ' only
+    loosens the bound, so the stale-high ``max_deg_hint`` is sound.
+    """
+    edges = state.edge_count
+    if edges <= 0:
+        return 0
+    max_deg = state.max_deg_hint
+    if max_deg <= 0:
+        max_deg = int(state.deg.max())
+        if max_deg <= 0:  # pragma: no cover - edge_count > 0 implies a degree
+            max_deg = 1
+    return -(-edges // max_deg)
+
+
+def degree_lower_bound(state: VCState) -> int:
+    """Smallest ``t`` whose ``t`` largest alive degrees sum to ``|E'|``."""
+    edges = state.edge_count
+    if edges <= 0:
+        return 0
+    deg = state.deg
+    alive = deg[deg > 0]
+    if alive.size == 0:  # pragma: no cover - edge_count > 0 implies degrees
+        return 0
+    order = np.sort(alive)[::-1]
+    prefix = np.cumsum(order)
+    return int(np.searchsorted(prefix, edges)) + 1
+
+
+def maximal_matching_size(
+    graph: CSRGraph,
+    state: VCState,
+    cap: Optional[int] = None,
+) -> int:
+    """Greedy maximal matching of the alive subgraph, early-exiting at ``cap``.
+
+    Scans alive vertices in id order and matches each with its first
+    alive unmatched neighbour — deterministic, O(|E'|), and a valid
+    lower bound at any prefix (each matching edge pins one distinct
+    cover vertex), which is what makes the ``cap`` early exit sound.
+    """
+    if state.edge_count <= 0:
+        return 0
+    deg = state.deg
+    matched = np.zeros(graph.n, dtype=bool)
+    size = 0
+    neighbors = graph.neighbors
+    for v in np.flatnonzero(deg > 0):
+        v = int(v)
+        if matched[v]:
+            continue
+        nbrs = neighbors(v)
+        live = nbrs[(deg[nbrs] >= 0) & ~matched[nbrs]]
+        if live.size:
+            matched[v] = True
+            matched[int(live[0])] = True
+            size += 1
+            if cap is not None and size > cap:
+                return size
+    return size
+
+
+#: Member name -> reference evaluation ``(graph, state, cap) -> int``; the
+#: names :meth:`KernelBackend.lower_bound` accepts, in the order the
+#: ``combined`` policy evaluates them by default (cheapest first).
+_LOWER_BOUNDS: Dict[str, Callable[[CSRGraph, VCState, Optional[int]], int]] = {
+    "greedy": lambda graph, state, cap: greedy_lower_bound(state),
+    "degree": lambda graph, state, cap: degree_lower_bound(state),
+    "matching": maximal_matching_size,
+}
+LOWER_BOUND_MEMBERS: Tuple[str, ...] = tuple(_LOWER_BOUNDS)
 
 
 class KernelBackend:
@@ -148,6 +237,29 @@ class KernelBackend:
     def greedy_cover(self, graph: CSRGraph, ws: Optional[Workspace] = None):
         """The greedy upper-bound pass (paper Section II-B)."""
         raise NotImplementedError
+
+    def lower_bound(
+        self,
+        graph: CSRGraph,
+        state: VCState,
+        members: Tuple[str, ...],
+        cap: Optional[int],
+        ws: Optional[Workspace],
+    ) -> int:
+        """Max of the ``members`` lower bounds (:data:`LOWER_BOUND_MEMBERS`).
+
+        Members are evaluated in order, stopping as soon as the running
+        max exceeds ``cap`` (``None``: no cap); ``matching`` also stops
+        growing its matching there.  This interpreted body is the
+        ``scalar``/``numpy`` implementation and the reference every other
+        backend must match value for value.
+        """
+        best = 0
+        for name in members:
+            best = max(best, _LOWER_BOUNDS[name](graph, state, cap))
+            if cap is not None and best > cap:
+                break
+        return best
 
     def uses_adjacency(self, graph: CSRGraph) -> bool:
         """Whether this backend walks cached adjacency tuples on ``graph``.
@@ -244,9 +356,11 @@ class NativeBackend(KernelBackend):
     Same loops as the ``scalar`` backend, so the same fixpoint, counters,
     sweeps and children, bit for bit.  One C call per node phase: the
     cascade runs to its fixpoint in :c:func:`vc_cascade`, the branch step
-    builds both children in :c:func:`vc_expand`.  Scratch buffers live on
-    the :class:`Workspace` (one per worker).  The greedy pass (once per
-    solve) stays interpreted: scalar below the size cutoff, numpy above.
+    builds both children in :c:func:`vc_expand`, and a non-default bound's
+    whole member list is one :c:func:`vc_lower_bound` call per prune.
+    Scratch buffers live on the :class:`Workspace` (one per worker).  The
+    greedy pass (once per solve) stays interpreted: scalar below the size
+    cutoff, numpy above.
     """
 
     name = "native"
@@ -257,6 +371,8 @@ class NativeBackend(KernelBackend):
             raise ValueError(_native_unavailable())
         self._cascade = lib.vc_cascade
         self._expand = lib.vc_expand
+        self._lower_bound = lib.vc_lower_bound
+        self._member_codes: Dict[Tuple[str, ...], int] = {}
 
     @staticmethod
     def _scratch(graph: CSRGraph, ws: Workspace) -> "_native.Scratch":
@@ -310,6 +426,24 @@ class NativeBackend(KernelBackend):
         state.dirty = sc.touched_cont[:tc].copy()
         return deferred, state
 
+    def lower_bound(self, graph, state, members, cap, ws):
+        code = self._member_codes.get(members)
+        if code is None:
+            code = self._member_codes[members] = _pack_members(members)
+        deg = state.deg
+        if ws is None or ws.n != deg.size:
+            ws = Workspace(deg.size)
+        sc = ws.native
+        if sc is None or sc.graph is not graph:
+            sc = self._scratch(graph, ws)
+        lb = self._lower_bound(sc.indptr, sc.indices, deg, sc.n,
+                               state.edge_count, state.max_deg_hint,
+                               _NO_CAP if cap is None else min(cap, _NO_CAP),
+                               code, sc.bound_ptr or sc.bound_scratch())
+        if lb < 0:
+            _native.fail(lb)
+        return lb
+
     def _greedy_backend(self, graph: CSRGraph) -> KernelBackend:
         return make_kernels(
             "scalar" if _kernels.scalar_path_ok(graph.n, graph.m) else "numpy")
@@ -319,6 +453,23 @@ class NativeBackend(KernelBackend):
 
     def uses_adjacency(self, graph):
         return self._greedy_backend(graph).uses_adjacency(graph)
+
+
+#: ``vc_lower_bound``'s "no cap" (INT64_MAX: no bound ever exceeds it).
+_NO_CAP = (1 << 63) - 1
+
+
+def _pack_members(members: Tuple[str, ...]) -> int:
+    """``vc_lower_bound``'s member word: codes 1-3 (LOWER_BOUND_MEMBERS
+    order), two bits each, first member lowest.  A repeated member is
+    dropped: its second evaluation cannot change the max or the stop."""
+    code = 0
+    for i, name in enumerate(dict.fromkeys(members)):
+        if name not in _LOWER_BOUNDS:
+            raise ValueError(f"unknown lower-bound member {name!r}; choose "
+                             f"from: {', '.join(LOWER_BOUND_MEMBERS)}")
+        code |= (LOWER_BOUND_MEMBERS.index(name) + 1) << (2 * i)
+    return code
 
 
 def _native_unavailable() -> str:
@@ -417,6 +568,10 @@ class AutoBackend(KernelBackend):
 
     def greedy_cover(self, graph, ws=None):
         return self._picked(graph.n, graph.m).greedy_cover(graph, ws)
+
+    def lower_bound(self, graph, state, members, cap, ws):
+        return self._picked(graph.n, graph.m).lower_bound(
+            graph, state, members, cap, ws)
 
     def uses_adjacency(self, graph):
         return self._picked(graph.n, graph.m).uses_adjacency(graph)

@@ -14,9 +14,16 @@ directory that cannot be written or is not private to this user -- makes
 :func:`load` return ``None``; the ``native`` backend is then unavailable
 and ``auto`` keeps its interpreted cutoff rule.
 
+Three entry points: ``vc_cascade`` (the reduction cascade to its
+fixpoint), ``vc_expand`` (the two-child branch step) and
+``vc_lower_bound`` (the non-default bound policies' member list --
+greedy, degree prefix, maximal matching -- in one call per prune).
+
 Each :class:`Workspace` (one per worker) carries its own :class:`Scratch`:
-the cascade's pending lists, the branch step's touched buffers and the
-cached graph pointers; scratch is never shared between workspaces.
+the cascade's pending lists, the branch step's touched buffers, the
+cached graph pointers and, allocated on the first bound evaluation only,
+the bound's n + 1 degree counts and n-byte matched mask; scratch is never
+shared between workspaces.
 
 Budget soundness.  The ``native`` backend
 (:class:`repro.core.kernel_backends.NativeBackend`) evaluates
@@ -129,6 +136,9 @@ def _bind(path: Path) -> Optional[ctypes.CDLL]:
     lib.vc_cascade.restype = i64
     lib.vc_expand.argtypes = [ptr, ptr, obj, obj, i64, i64, ptr, ptr, ptr]
     lib.vc_expand.restype = i64
+    lib.vc_lower_bound.argtypes = [ptr, ptr, obj, i64, i64, i64, i64, i64,
+                                   ptr]
+    lib.vc_lower_bound.restype = i64
     lib.vc_probe.argtypes = [obj, i64]
     lib.vc_probe.restype = i64
     # The kernels read arrays through NumPy's accessor macros; make sure
@@ -162,7 +172,7 @@ class Scratch:
 
     __slots__ = ("n", "graph", "indptr", "indices", "buf", "buf_ptr",
                  "touched_def", "touched_cont", "def_ptr", "cont_ptr",
-                 "out", "out_ptr")
+                 "out", "out_ptr", "bound_buf", "bound_ptr")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -179,6 +189,19 @@ class Scratch:
         self.cont_ptr = self.touched_cont.ctypes.data
         self.out = np.zeros(6, dtype=np.int64)
         self.out_ptr = self.out.ctypes.data
+        # vc_lower_bound: allocated by bound_scratch() on first use
+        self.bound_buf = None
+        self.bound_ptr = 0
+
+    def bound_scratch(self) -> int:
+        """vc_lower_bound's scratch: n + 1 zeroed int64 counts, then an
+        n-byte matched mask.  Allocated on the first call, so traversals
+        that never evaluate a non-default bound allocate nothing."""
+        if self.bound_buf is None:
+            self.bound_buf = np.zeros(self.n + 1 + (self.n + 7) // 8,
+                                      dtype=np.int64)
+            self.bound_ptr = self.bound_buf.ctypes.data
+        return self.bound_ptr
 
     def bind(self, graph) -> None:
         """Cache ``graph``'s CSR pointers (the graph stays referenced)."""
@@ -194,7 +217,9 @@ class Scratch:
 
 
 _ERRORS = {-1: "degree array is not a writeable contiguous int32 array of n",
-           -2: "dirty hint is not a contiguous int64 array"}
+           -2: "dirty hint is not a contiguous int64 array",
+           -3: "degree array is not a contiguous int32 array of n, or holds "
+               "a degree above n"}
 
 
 def fail(rc: int) -> None:

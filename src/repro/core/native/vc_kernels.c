@@ -1,19 +1,26 @@
 /*
  * Compiled per-node kernels of the branch-and-reduce search.
  *
- * Two entry points, each called once per search-tree node phase:
+ * Three entry points, each called once per search-tree node phase:
  *
- *   vc_cascade  -- the reduction cascade (degree-one, degree-two-triangle,
- *                  high-degree) run to its fixpoint on one degree array;
- *   vc_expand   -- the two-child branch step on a pivot vertex.
+ *   vc_cascade      -- the reduction cascade (degree-one,
+ *                      degree-two-triangle, high-degree) run to its
+ *                      fixpoint on one degree array;
+ *   vc_expand       -- the two-child branch step on a pivot vertex;
+ *   vc_lower_bound  -- the non-default bound policies' lower bounds
+ *                      (greedy ceil(|E'|/D'), degree prefix, maximal
+ *                      matching), a whole member list in one call.
  *
- * Both mirror the pure-Python scalar paths in repro/core/kernels.py
- * (_apply_reductions_scalar and its exhausts) and repro/core/branching.py
- * (_expand_children_scalar) loop for loop: ascending candidate order per
- * sweep, per-candidate revalidation, binary-search triangle test and
- * snapshot-first high-degree sweeps.  The fixpoint, the reduction counters
- * and the sweep count are therefore bit-identical to the scalar backend,
- * which stays the oracle (tests/test_kernel_backends.py).
+ * The first two mirror the pure-Python scalar paths in
+ * repro/core/kernels.py (_apply_reductions_scalar and its exhausts) and
+ * repro/core/branching.py (_expand_children_scalar) loop for loop:
+ * ascending candidate order per sweep, per-candidate revalidation,
+ * binary-search triangle test and snapshot-first high-degree sweeps.  The
+ * fixpoint, the reduction counters and the sweep count are therefore
+ * bit-identical to the scalar backend, which stays the oracle
+ * (tests/test_kernel_backends.py).  vc_lower_bound returns exactly what
+ * KernelBackend.lower_bound in repro/core/kernel_backends.py returns, cap
+ * truncation included (tests/test_bounds.py).
  *
  * Graph arrays and scratch arrive as raw pointers (cached per workspace);
  * degree arrays and hints arrive as NumPy array objects and are read
@@ -35,6 +42,13 @@
 /* Error codes returned to the loader (>= 0 is success). */
 #define VC_ERR_DEG (-1)     /* deg: not a writeable C-contiguous int32[n] */
 #define VC_ERR_HINT (-2)    /* hint is not a C-contiguous int64 array */
+#define VC_ERR_BOUND (-3)   /* bound deg: not int32[n], or a degree above n */
+
+/* vc_lower_bound member codes, packed two bits each, first member in the
+ * lowest bits; a zero digit ends the list. */
+#define VC_LB_GREEDY 1
+#define VC_LB_DEGREE 2
+#define VC_LB_MATCHING 3
 
 /* The data pointer of `obj` if it is a C-contiguous 1-D array of `type`
  * and length `n` (any length and read-only allowed when n < 0), else
@@ -362,6 +376,142 @@ int64_t vc_expand(const int64_t *indptr, const int32_t *indices,
     out[2] = td;
     out[3] = tc;
     return 0;
+}
+
+/* ceil(|E'| / D') with the carried stale-high hint (a too-large D' only
+ * loosens the bound); a hint <= 0 falls back to the exact maximum. */
+static int64_t greedy_lb(const int32_t *deg, int64_t n, int64_t edges,
+                         int64_t max_deg)
+{
+    if (edges <= 0)
+        return 0;
+    if (max_deg <= 0) {
+        max_deg = max_degree(deg, n);
+        if (max_deg <= 0)
+            max_deg = 1;
+    }
+    return (edges + max_deg - 1) / max_deg;
+}
+
+/* The smallest t whose t largest alive degrees sum to at least |E'|, by
+ * counting over degrees: O(n + D), no sort.  counts holds n + 1 zeros on
+ * entry and on return.  One more than the alive count when the degrees
+ * never reach |E'| (the sorted prefix search's past-the-end answer).
+ * VC_ERR_BOUND for a degree above n, which no state of an n-vertex graph
+ * holds. */
+static int64_t degree_lb(const int32_t *deg, int64_t n, int64_t edges,
+                         int64_t *counts)
+{
+    int64_t top = 0, t = 0, acc = 0, d;
+    int bad = 0;
+    if (edges <= 0)
+        return 0;
+    for (int64_t v = 0; v < n; v++) {
+        int32_t dv = deg[v];
+        if (dv > n) {
+            bad = 1;
+        } else if (dv > 0) {
+            counts[dv]++;
+            if (dv > top)
+                top = dv;
+        }
+    }
+    if (bad) {
+        memset(counts, 0, (size_t)(top + 1) * sizeof(int64_t));
+        return VC_ERR_BOUND;
+    }
+    if (top == 0)
+        return 0; /* no alive degree (the sorted path's empty case) */
+    for (d = top; d > 0; d--) {
+        int64_t c = counts[d];
+        if (c == 0)
+            continue;
+        if (acc + c * d >= edges) {
+            t += (edges - acc + d - 1) / d;
+            break;
+        }
+        acc += c * d;
+        t += c;
+    }
+    if (d == 0)
+        t++;
+    memset(counts, 0, (size_t)(top + 1) * sizeof(int64_t));
+    return t;
+}
+
+/* Greedy maximal matching of the alive subgraph: alive vertices in id
+ * order, each matched to its first alive unmatched neighbour; stops once
+ * the size exceeds cap.  Every prefix is a matching, so a truncated size
+ * is still a lower bound. */
+static int64_t matching_lb(const int64_t *indptr, const int32_t *indices,
+                           const int32_t *deg, int64_t n, int64_t edges,
+                           int64_t cap, uint8_t *matched)
+{
+    int64_t size = 0;
+    if (edges <= 0)
+        return 0;
+    memset(matched, 0, (size_t)n);
+    for (int64_t v = 0; v < n; v++) {
+        if (deg[v] <= 0 || matched[v])
+            continue;
+        for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) {
+            int32_t x = indices[i];
+            if (deg[x] >= 0 && !matched[x]) {
+                matched[v] = matched[x] = 1;
+                if (++size > cap)
+                    return size;
+                break;
+            }
+        }
+    }
+    return size;
+}
+
+/*
+ * The max of a bound member list (KernelBackend.lower_bound), evaluated in
+ * list order and stopping as soon as the running max exceeds cap.
+ *
+ * edge_count: the state's |E'|.
+ * max_deg:    the state's stale-high maximum-degree hint (<= 0: unknown).
+ * cap:        "does this prune?" threshold; INT64_MAX for no cap.
+ * members:    VC_LB_* codes packed two bits each, first member lowest.
+ * scratch:    n + 1 zeroed int64 counts, then an n-byte matched mask; the
+ *             counts are zero again on return.
+ *
+ * Returns the bound (>= 0), or VC_ERR_BOUND for a degree array that is
+ * not a contiguous int32[n] (read-only allowed) or holds a degree above n.
+ */
+int64_t vc_lower_bound(const int64_t *indptr, const int32_t *indices,
+                       PyObject *deg_obj, int64_t n, int64_t edge_count,
+                       int64_t max_deg, int64_t cap, int64_t members,
+                       int64_t *scratch)
+{
+    const int32_t *deg = (const int32_t *)array_data(deg_obj, NPY_INT32, -1);
+    int64_t best = 0;
+    if (deg == NULL || PyArray_DIM((PyArrayObject *)deg_obj, 0) != n)
+        return VC_ERR_BOUND;
+    for (; members != 0; members >>= 2) {
+        int64_t lb = 0;
+        switch (members & 3) {
+        case VC_LB_GREEDY:
+            lb = greedy_lb(deg, n, edge_count, max_deg);
+            break;
+        case VC_LB_DEGREE:
+            lb = degree_lb(deg, n, edge_count, scratch);
+            if (lb < 0)
+                return lb;
+            break;
+        case VC_LB_MATCHING:
+            lb = matching_lb(indptr, indices, deg, n, edge_count, cap,
+                             (uint8_t *)(scratch + n + 1));
+            break;
+        }
+        if (lb > best)
+            best = lb;
+        if (best > cap)
+            break;
+    }
+    return best;
 }
 
 /* Load-time probe: the data pointer the accessor macros see. */

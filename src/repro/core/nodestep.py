@@ -166,7 +166,7 @@ class NodeStep:
         if reducer is None:
             reducer = default_reducer(charge, kernels)
         if bound is None or isinstance(bound, str):
-            bound = make_bound(bound or "greedy", graph, ws)
+            bound = make_bound(bound or "greedy", graph, ws, kernels)
         self.graph = graph
         self.formulation = formulation
         self.ws = ws
@@ -186,20 +186,22 @@ class NodeStep:
         # The default policy's test IS formulation.prune (two comparisons
         # over carried counters) — bind it directly so the default hot
         # path pays zero extra calls per node.  Non-default policies go
-        # through the budget composition; *charged* ones meter each
-        # evaluation to the `lower_bound` kind — emitted only when the
-        # policy actually evaluates (the free Buss pre-test and negative
-        # budgets kill the node without paying), priced at the policy's
-        # full `cost_units` (a deterministic worst case; cap truncation
-        # is not modelled).  The default greedy prune never charges,
-        # which keeps its charge stream — and every Table I / makespan
-        # number — bit-identical to the pre-bound-layer engines.
+        # through the budget composition; in a charged run, *charged*
+        # policies meter each evaluation to the `lower_bound` kind —
+        # emitted only when the policy actually evaluates (the free Buss
+        # pre-test and negative budgets kill the node without paying),
+        # priced at the policy's full `cost_units` (a deterministic worst
+        # case; cap truncation is not modelled).  Uncharged runs run the
+        # same free pre-test and never price an evaluation.  The default
+        # greedy prune never charges, which keeps its charge stream — and
+        # every Table I / makespan number — bit-identical to the
+        # pre-bound-layer engines.
         if type(bound) is GreedyBound:
             prune = formulation.prune
         else:
             budget = formulation.budget
             bound_prune = bound.prune
-            if bound.charged:
+            if bound.charged and charge is not null_charge:
                 cost_units = bound.cost_units
 
                 def prune(state: VCState) -> bool:
@@ -211,7 +213,10 @@ class NodeStep:
             else:
 
                 def prune(state: VCState) -> bool:
-                    return bound_prune(state, budget(state.cover_size))
+                    b = budget(state.cover_size)
+                    if b < 0 or state.edge_count > b * b:
+                        return True  # Buss pre-test
+                    return bound_prune(state, b)
 
         # Telemetry follows the same construction-time rule as the fault
         # wrapping below: an armed plane (repro.obs) rebuilds the step

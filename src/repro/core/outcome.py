@@ -55,6 +55,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..graph.degree_array import VCState, WirePayload
 from .bounds import BoundPolicy, make_bound
+from .kernel_backends import KernelBackend
 
 __all__ = [
     "STATUSES",
@@ -203,6 +204,7 @@ def frontier_lower_bound(
     pending: Sequence[VCState],
     bound: Union[BoundPolicy, str],
     incumbent: Optional[int],
+    kernels: Union[KernelBackend, str, None] = None,
 ) -> Optional[int]:
     """Admissible lower bound on the best cover this search can produce.
 
@@ -211,9 +213,11 @@ def frontier_lower_bound(
     node, and the bound policy's ``lower_bound`` is admissible for the
     remaining subgraph.  With an empty frontier the incumbent *is* the
     answer; with neither, nothing can be claimed (returns ``None``).
+    A bound given by name evaluates through ``kernels`` (the search's
+    kernel backend; ``None`` for the process default).
     """
     if isinstance(bound, str):
-        bound = make_bound(bound, graph)
+        bound = make_bound(bound, graph, kernels=kernels)
     candidates: List[int] = [] if incumbent is None else [int(incumbent)]
     for state in pending:
         candidates.append(state.cover_size + int(bound.lower_bound(state)))

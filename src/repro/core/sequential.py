@@ -126,7 +126,7 @@ def branch_and_reduce(
     if stats is None:
         stats = SearchStats()
     if bound is None or isinstance(bound, str):
-        bound = make_bound(bound or "greedy", graph, ws)
+        bound = make_bound(bound or "greedy", graph, ws, kernels)
     if frontier is None:
         frontier = LifoFrontier()
     elif isinstance(frontier, str):

@@ -95,7 +95,8 @@ LEASE_BATCH = 8
 #: handshake before concluding nobody is coming and draining inline.
 _CONNECT_GRACE_S = 10.0
 
-#: Wind-down budget: how long to wait for ``result`` frames after ``done``.
+#: Wind-down budget: how long to wait for ``result`` frames after ``done``
+#: is sent.  A peer still silent then is dropped as lost.
 _WINDDOWN_S = 10.0
 
 #: Worker-side cadence: node-count deltas flushed every this many nodes.
@@ -690,6 +691,7 @@ def _run_distributed(
     wid_seq = [0]
     stop_reason = [_STOP_NONE]
     done_sent = [False]
+    done_at = [0.0]       # monotonic time ``done`` was sent
     respawns_used = [0]
     retired_slots = [0]   # peers lost after the respawn budget ran dry
     inline_drains = [0]   # wind-down paths that fell back to _drain_inline
@@ -716,6 +718,7 @@ def _run_distributed(
             stop_reason[0] = reason
         if not done_sent[0]:
             done_sent[0] = True
+            done_at[0] = time.monotonic()
             broadcast(("done",))
 
     def offer_best(size: int, payload) -> None:
@@ -887,11 +890,8 @@ def _run_distributed(
                     p.join()
                     procs.remove(p)
 
-            alive_conns = [p for p in peers.values() if not p.finished]
-            if done_sent[0] and not alive_conns:
-                break
             if done_sent[0]:
-                continue
+                break  # the wind-down below collects the results
 
             if not peers and not procs and not any(
                     h.poll() is None for h in host_procs):
@@ -906,15 +906,18 @@ def _run_distributed(
                 time.sleep(0.002)
 
         # ------------------------- wind-down ----------------------------- #
+        # Every peer gets _WINDDOWN_S from ``done`` to send its result; a
+        # peer still silent then (hung, but its socket open) is dropped as
+        # lost, and its lease, if any, goes back to the queue.
         request_done(_STOP_NONE)
-        windup_until = time.monotonic() + _WINDDOWN_S
+        windup_until = done_at[0] + _WINDDOWN_S
         while (any(not p.finished for p in peers.values())
                and time.monotonic() < windup_until):
             pump_all(0.02)
         for peer in list(peers.values()):
             if peer.result is not None:
                 results[peer.wid] = peer.result
-            drop_peer(peer, died=False)
+            drop_peer(peer, died=not peer.finished)
         run.wall = time.perf_counter() - start
 
         run.timed_out = stop_reason[0] != _STOP_NONE and not run.found

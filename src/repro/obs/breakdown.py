@@ -47,7 +47,7 @@ __all__ = [
 #: are carved out of each node step by the instrumented closure; the rest
 #: are engine-level work-distribution sites.
 WALL_KINDS = ("reduce", "bound", "branch",
-              "lease", "idle", "steal", "donate", "frame")
+              "lease", "idle", "donate", "frame")
 
 GROUP_TITLES = ("Work distribution and load balancing", "Reducing",
                 "Branching", "Bounding")
@@ -85,7 +85,7 @@ def __getattr__(name: str):
 #: Wall kind → group, for the measured side.
 WALL_GROUPS: Dict[str, tuple] = {
     "Work distribution and load balancing":
-        ("lease", "idle", "steal", "donate", "frame"),
+        ("lease", "idle", "donate", "frame"),
     "Reducing": ("reduce",),
     "Branching": ("branch",),
     "Bounding": ("bound",),

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..core.bounds import DEFAULT_BOUND, make_bound
+from ..core.bounds import DEFAULT_BOUND
 from ..core.formulation import Formulation
 from ..core.nodestep import NodeStep
 from ..core.parallel_reductions import apply_reductions_parallel
@@ -108,7 +108,7 @@ class BlockContext:
         self.step = NodeStep(
             shared.graph, shared.formulation, self.ws,
             reducer=apply_reductions_parallel, charge=self.charge_units,
-            bound=make_bound(shared.bound, shared.graph, self.ws),
+            bound=shared.bound,
             faultable=False,
         )
         self.metrics = BlockMetrics(block_id=block_id, sm_id=sm_id)

@@ -35,6 +35,7 @@ from repro.core.bounds import (
 from repro.core.brute import brute_force_mvc
 from repro.core.formulation import BestBound, MVCFormulation
 from repro.core.frontier import FRONTIERS, BestFirstFrontier, greedy_bound_key, make_frontier
+from repro.core.kernel_backends import native_available, set_default_kernels
 from repro.core.matching import konig_cover
 from repro.core.reductions import apply_reductions_reference
 from repro.core.sequential import branch_and_reduce, solve_mvc_sequential, solve_pvc_sequential
@@ -52,6 +53,22 @@ from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp, random_bipartite
 from repro.graph.generators.structured import grid_graph, petersen
 from repro.sim.device import TINY_SIM
+from search_states import search_states
+
+
+#: The kernel backends every bound must agree across: the interpreted
+#: reference and the compiled port.
+KERNEL_NAMES = ("scalar", "native")
+#: ... of which those this machine can run (``native`` needs a C compiler).
+AVAILABLE_KERNELS = tuple(name for name in KERNEL_NAMES
+                          if name != "native" or native_available())
+
+
+def _kernels(name):
+    """``name``, or skip the test where ``native`` cannot load."""
+    if name == "native" and not native_available():
+        pytest.skip("native kernels unavailable (no working C compiler)")
+    return name
 
 
 def _partial_state(graph, rng, fraction=0.3):
@@ -187,6 +204,8 @@ class TestBoundPolicies:
 # admissibility (the correctness core of every pruning policy)
 # --------------------------------------------------------------------- #
 class TestAdmissibility:
+    """Checked under every available kernel backend (``native`` too)."""
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(6, 16), p=st.floats(0.1, 0.6), seed=st.integers(0, 500),
            cover_seed=st.integers(0, 500))
@@ -196,9 +215,10 @@ class TestAdmissibility:
         rng = np.random.default_rng(cover_seed)
         for state in (fresh_state(g), _partial_state(g, rng)):
             remaining = _remaining_optimum(g, state)
-            for name in BOUNDS:
-                lb = make_bound(name, g).lower_bound(state)
-                assert lb <= remaining, (name, lb, remaining)
+            for kernels in AVAILABLE_KERNELS:
+                for name in BOUNDS:
+                    lb = make_bound(name, g, kernels=kernels).lower_bound(state)
+                    assert lb <= remaining, (kernels, name, lb, remaining)
 
     @settings(max_examples=10, deadline=None)
     @given(left=st.integers(4, 9), right=st.integers(4, 9),
@@ -208,9 +228,10 @@ class TestAdmissibility:
         g = random_bipartite(left, right, p, seed=seed)
         opt = brute_force_mvc(g)[0]
         state = fresh_state(g)
-        assert KonigBound(g).lower_bound(state) == opt
-        for name in BOUNDS:
-            assert make_bound(name, g).lower_bound(state) <= opt
+        for kernels in AVAILABLE_KERNELS:
+            assert KonigBound(g, kernels=kernels).lower_bound(state) == opt
+            for name in BOUNDS:
+                assert make_bound(name, g, kernels=kernels).lower_bound(state) <= opt
 
 
 # --------------------------------------------------------------------- #
@@ -296,6 +317,70 @@ class TestBoundEngineFrontierAgreement:
             solve_mvc_sequential(g, bound="buss")
         with pytest.raises(ValueError, match="unknown bound"):
             HybridEngine(bound="buss")
+
+
+# --------------------------------------------------------------------- #
+# kernel backends: the compiled bounds equal the interpreted reference
+# --------------------------------------------------------------------- #
+class TestBoundKernelEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 50), p=st.floats(0.03, 0.6),
+           seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_native_policy_values_equal_scalar(self, n, p, seed, data):
+        """Every kernel-evaluated policy (konig's odd-cycle fallback
+        included) returns the same value under both backends, with no cap
+        and with random caps, on states a search reaches."""
+        g = gnp(n, p, seed=seed)
+        names = ("degree", "matching", "combined", "konig")
+        native = {name: make_bound(name, g, kernels=_kernels("native"))
+                  for name in names}
+        scalar = {name: make_bound(name, g, kernels="scalar") for name in names}
+        for state in search_states(g, seed):
+            caps = [None] + data.draw(st.lists(st.integers(-2, n), max_size=3))
+            for name in names:
+                for cap in caps:
+                    assert native[name].lower_bound(state, cap) == \
+                        scalar[name].lower_bound(state, cap), (name, cap)
+
+    @pytest.mark.parametrize("frontier", ["lifo", "best-first"])
+    @pytest.mark.parametrize("gname,graph", _suite_graphs()
+                             + [("gnp60", gnp(60, 0.1, seed=2))])
+    def test_same_tree_under_native_and_scalar(self, gname, graph, frontier):
+        _kernels("native")
+        for bname in BOUNDS:
+            runs = [solve_mvc_sequential(graph, bound=bname, frontier=frontier,
+                                         kernels=kernels)
+                    for kernels in KERNEL_NAMES]
+            assert runs[0].optimum == runs[1].optimum, (gname, bname)
+            assert runs[0].stats.nodes_visited == runs[1].stats.nodes_visited, \
+                (gname, bname)
+
+    def test_uncharged_runs_never_price_an_evaluation(self, monkeypatch):
+        def priced(self, state):
+            pytest.fail("cost_units called in an uncharged run")
+
+        monkeypatch.setattr(MatchingBound, "cost_units", priced)
+        g = random_bipartite(12, 14, 0.3, seed=3)
+        res = solve_mvc_sequential(g, bound="matching")
+        assert res.optimum == solve_mvc_sequential(g).optimum
+
+    @pytest.mark.parametrize("bname", ["degree", "matching", "combined"])
+    def test_same_lower_bound_charges_on_hybrid(self, bname):
+        _kernels("native")
+        g = random_bipartite(10, 12, 0.3, seed=2)
+        totals = []
+        for kernels in KERNEL_NAMES:
+            set_default_kernels(kernels)
+            try:
+                res = HybridEngine(device=TINY_SIM, worklist_capacity=64,
+                                   bound=bname).solve_mvc(g)
+            finally:
+                set_default_kernels(None)
+            totals.append((res.optimum, res.nodes_visited, res.makespan_cycles,
+                           sum(block.cycles_by_kind.get("lower_bound", 0.0)
+                               for block in res.metrics.blocks)))
+        assert totals[0] == totals[1]
+        assert totals[0][3] > 0.0
 
 
 # --------------------------------------------------------------------- #

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.kernel_backends as kb
 import repro.core.kernels as kernels_mod
@@ -49,6 +51,7 @@ from repro.graph.generators.structured import (
     petersen,
     star_graph,
 )
+from search_states import search_states
 
 #: Concrete backends every equivalence test must admit.  ``native`` is
 #: skipped, not dropped, where no C compiler can build it.
@@ -345,6 +348,35 @@ class TestNativeBackend:
             native.reduce(g, ok, form, Workspace.for_graph(g), None,
                           np.arange(3, dtype=np.int32))
 
+    def test_rejects_foreign_bound_degree_arrays(self):
+        native = _backend("native")
+        g = gnp(30, 0.2, seed=1)
+        ws = Workspace.for_graph(g)
+        wide = VCState(fresh_state(g).deg.astype(np.int64), 0, g.m)
+        with pytest.raises(ValueError, match="int32"):
+            native.lower_bound(g, wide, ("degree",), None, ws)
+        corrupt = fresh_state(g)
+        corrupt.deg[3] = g.n + 1
+        with pytest.raises(ValueError, match="above n"):
+            native.lower_bound(g, corrupt, ("degree",), None, ws)
+        # the counts are zero again: the next evaluation is exact
+        ok = fresh_state(g)
+        assert native.lower_bound(g, ok, ("degree",), None, ws) == \
+            _backend("scalar").lower_bound(g, ok, ("degree",), None, ws)
+
+    def test_bound_scratch_allocated_only_by_bound_evaluations(self):
+        from repro.core.bounds import make_bound
+
+        _backend("native")
+        g = gnp(40, 0.15, seed=3)
+        ws = Workspace.for_graph(g)
+        branch_and_reduce(g, MVCFormulation(BestBound(size=g.n + 1)), ws=ws,
+                          kernels="native")
+        assert ws.native is not None and ws.native.bound_buf is None
+        bound = make_bound("combined", g, ws, "native")
+        bound.lower_bound(fresh_state(g))
+        assert ws.native.bound_buf is not None
+
     def test_distributed_solve_matches_sequential(self):
         from repro.core.solver import solve_mvc
 
@@ -381,6 +413,52 @@ class TestNativeBackend:
         monkeypatch.setenv("PATH", str(tmp_path / "empty"))  # no compiler
         assert native_mod.build(tmp_path / "nocc") is None
         assert os.listdir(tmp_path / "nocc") == []
+
+
+# --------------------------------------------------------------------- #
+# lower_bound: the compiled bounds equal the interpreted reference
+# --------------------------------------------------------------------- #
+class TestLowerBoundEquivalence:
+    """``lower_bound``: every backend returns the interpreted reference's
+    value, cap truncation included, on states a search reaches."""
+
+    MEMBER_LISTS = (("degree",), ("matching",), ("greedy",),
+                    ("greedy", "degree", "matching"),
+                    ("matching", "greedy"), ("degree", "matching", "degree"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 60), p=st.floats(0.03, 0.6),
+           seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_native_matches_scalar_on_search_states(self, n, p, seed, data):
+        native, scalar = _backend("native"), _backend("scalar")
+        g = gnp(n, p, seed=seed)
+        ws = Workspace.for_graph(g)
+        for state in search_states(g, seed):
+            for members in self.MEMBER_LISTS:
+                caps = [None] + data.draw(
+                    st.lists(st.integers(-2, n), max_size=3))
+                for cap in caps:
+                    want = scalar.lower_bound(g, state, members, cap, None)
+                    got = native.lower_bound(g, state, members, cap, ws)
+                    assert got == want, (members, cap)
+
+    @pytest.mark.parametrize("name", CONCRETE + ("auto",))
+    def test_every_backend_matches_the_reference(self, name):
+        backend = _backend(name)
+        reference = kb.KernelBackend.lower_bound
+        for g in _suite():
+            ws = Workspace.for_graph(g)
+            for state in search_states(g, seed=g.n):
+                for cap in (None, 0, 3):
+                    members = ("greedy", "degree", "matching")
+                    assert backend.lower_bound(g, state, members, cap, ws) == \
+                        reference(backend, g, state, members, cap, ws)
+
+    def test_unknown_member_is_refused(self):
+        native = _backend("native")
+        g = gnp(10, 0.3, seed=0)
+        with pytest.raises(ValueError, match="unknown lower-bound member"):
+            native.lower_bound(g, fresh_state(g), ("konig",), None, None)
 
 
 # --------------------------------------------------------------------- #

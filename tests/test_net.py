@@ -388,6 +388,57 @@ class TestDistributed:
             assert res.optimum == 1
         assert max(walls) < 0.5, sorted(walls)[-5:]
 
+    def test_silent_worker_cannot_hang_the_wind_down(self):
+        """A worker that swallows ``done`` but keeps its socket open is
+        dropped once the wind-down budget (counted from ``done``) runs
+        out, and the solve still returns the optimum.  The solve runs in
+        a subprocess with a timeout, so a hang fails this test instead of
+        the whole suite."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        script = textwrap.dedent("""
+            import time
+            from repro.graph.generators.random_graphs import gnp
+            from repro.net import distributed
+
+            class Deaf:
+                # A worker's stream that never delivers ``done``.
+                def __init__(self, inner):
+                    self.inner = inner
+
+                def poll(self, timeout):
+                    return [m for m in self.inner.poll(timeout)
+                            if m[0] != "done"]
+
+                def __getattr__(self, name):
+                    return getattr(self.inner, name)
+
+            loop = distributed._worker_loop
+            distributed._worker_loop = (
+                lambda stream, *args: loop(Deaf(stream), *args))
+            distributed._WINDDOWN_S = 0.5
+            t0 = time.monotonic()
+            res = distributed.solve_mvc_distributed(
+                gnp(30, 0.3, seed=5), n_workers=1, hosts=0)
+            print(res.optimum, round(time.monotonic() - t0, 2))
+        """)
+        src = str(Path(distributed.__file__).resolve().parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("a silent worker hung the distributed wind-down")
+        assert proc.returncode == 0, proc.stderr
+        optimum, wall = proc.stdout.split()
+        assert int(optimum) == solve_mvc_sequential(gnp(30, 0.3, seed=5)).optimum
+        assert float(wall) < 30.0
+
     def test_comms_surface_on_outcome_extra(self):
         from repro.core.anytime import solve_anytime
 
