@@ -32,8 +32,9 @@ Registered policies (:data:`BOUNDS`):
   when that subgraph is bipartite (the machinery from
   :mod:`repro.core.matching`); an odd cycle falls back to the maximal
   matching bound.
-* ``combined`` — the max of a configured member set (default: greedy,
-  degree, matching), evaluated in order, stopping once the node prunes.
+* ``combined`` — the max of a configured member list drawn from greedy,
+  degree and matching (default: all three, in that order), evaluated in
+  order, stopping once the node prunes.
 
 Where the work runs: ``degree``, ``matching``, ``combined`` and the
 ``konig`` odd-cycle fallback evaluate through the traversal's kernel
@@ -279,11 +280,11 @@ class CombinedBound(BoundPolicy):
 
     ``lower_bound`` is the max over the members (admissible because each
     member is), evaluated in member order and stopping as soon as the
-    node is pruned, so the expensive tail (matching / König) only runs
-    on nodes the cheap bounds could not prune.  The inherited ``prune``
-    asks exactly that, after the free Buss pre-test.  A member list of
-    kernel members (greedy, degree, matching — the default) is one
-    kernel call per evaluation.
+    node is pruned, so the expensive tail (matching) only runs on nodes
+    the cheap bounds could not prune.  The inherited ``prune`` asks
+    exactly that, after the free Buss pre-test.  Members are kernel
+    bounds (:data:`~repro.core.kernel_backends.LOWER_BOUND_MEMBERS`), so
+    one evaluation is one kernel call.
     """
 
     name = "combined"
@@ -302,20 +303,17 @@ class CombinedBound(BoundPolicy):
         names = tuple(members) if members is not None else self.DEFAULT_MEMBERS
         if not names:
             raise ValueError("combined bound needs at least one member")
+        for name in names:
+            if name not in LOWER_BOUND_MEMBERS:
+                raise ValueError(f"unknown combined member {name!r}; choose "
+                                 f"from: {', '.join(LOWER_BOUND_MEMBERS)}")
+        self._names = names
+        # member policies price the evaluation (cost_units)
         self.members = tuple(make_bound(name, graph, ws, self.kernels)
                              for name in names)
-        self._fused = (names if all(name in LOWER_BOUND_MEMBERS for name in names)
-                       else None)
 
     def lower_bound(self, state: VCState, cap: Optional[int] = None) -> int:
-        if self._fused is not None:
-            return self._kernel_bound(state, self._fused, cap)
-        best = 0
-        for member in self.members:
-            best = max(best, member.lower_bound(state, cap=cap))
-            if cap is not None and best > cap:
-                break
-        return best
+        return self._kernel_bound(state, self._names, cap)
 
     def cost_units(self, state: VCState) -> float:
         return sum(member.cost_units(state) for member in self.members)

@@ -168,6 +168,8 @@ class TestBoundPolicies:
             MatchingBound(g).lower_bound(state)
         with pytest.raises(ValueError, match="at least one member"):
             CombinedBound(g, members=())
+        with pytest.raises(ValueError, match="unknown combined member 'konig'"):
+            CombinedBound(g, members=("degree", "konig"))
 
     def test_matching_cap_early_exit_still_proves_the_prune(self):
         g = phat_complement(24, 2, seed=1)
